@@ -1157,33 +1157,42 @@ struct TraceBuilder {
     bool is_store;
     std::vector<std::uint64_t> byte_addrs;
   };
+  /// The first `live` records belong to the current flush group; the rest
+  /// keep their buffers for reuse, so steady state allocates nothing.
   std::vector<Rec> recs;
+  std::size_t live = 0;
 
   void compute(std::uint32_t cycles, std::uint32_t active) { t.push_compute(cycles, active); }
 
   Rec& rec_for(std::uint16_t site, bool is_store) {
-    for (auto& r : recs) {
+    for (std::size_t i = 0; i < live; ++i) {
+      Rec& r = recs[i];
       if (r.site == site && r.is_store == is_store) return r;
     }
-    recs.push_back({site, is_store, {}});
-    return recs.back();
+    if (live == recs.size()) recs.emplace_back();
+    Rec& r = recs[live++];
+    r.site = site;
+    r.is_store = is_store;
+    r.byte_addrs.clear();
+    return r;
   }
 
   void flush() {
-    for (auto& r : recs) {
+    const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
+    for (std::size_t i = 0; i < live; ++i) {
+      Rec& r = recs[i];
       // Lane work = per-lane accesses before coalescing (recorded while
       // the addresses are still one-per-active-lane).
       t.begin_mem(r.site, r.is_store, static_cast<std::uint32_t>(r.byte_addrs.size()));
       auto& addrs = r.byte_addrs;
-      const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
       for (auto& a : addrs) a /= 32;
-      std::sort(addrs.begin(), addrs.end());
+      if (!std::is_sorted(addrs.begin(), addrs.end())) std::sort(addrs.begin(), addrs.end());
       addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
       for (std::uint64_t sector : addrs) {
         t.mem_sector(sector / sectors_per_line);
       }
     }
-    recs.clear();
+    live = 0;
   }
 };
 
@@ -1217,7 +1226,7 @@ void Vm::set_block(std::uint64_t block_linear) {
 
 WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>& pool) {
   WarpTrace t(pool);
-  TraceBuilder tb{t, line_bytes_, {}};
+  TraceBuilder tb{t, line_bytes_, {}, 0};
 
   for (const std::uint16_t r : p_.var_iregs) ir_[r].fill(0);
   for (const std::uint16_t r : p_.var_fregs) fr_[r].fill(0.0);

@@ -4,12 +4,63 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <optional>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "gpusim/simd.hpp"
 
 namespace catt::sim::dedup {
+
+const char* bail_reason_name(BailReason r) {
+  switch (r) {
+    case BailReason::kNone: return "none";
+    case BailReason::kPoisoned: return "poisoned";
+    case BailReason::kBlockDependent: return "block_dependent";
+    case BailReason::kOutOfBounds: return "out_of_bounds";
+    case BailReason::kNonUniformDelta: return "nonuniform_delta";
+    case BailReason::kSharedInvalidated: return "shared_invalidated";
+    case BailReason::kError: return "error";
+  }
+  return "unknown";
+}
+
+std::uint64_t AddrStore::append(const std::uint64_t* src, std::size_t n) {
+  if (n == 0) return size_;
+  const std::uint64_t end = static_cast<std::uint64_t>(index_.size()) * kChunk;
+  if (end - size_ < n) {
+    // Start a new allocation at the next chunk boundary, as many chunks
+    // long as the append needs, so the addresses stay contiguous.
+    size_ = end;
+    const std::uint64_t chunks = (n + kChunk - 1) / kChunk;
+    last_len_ = chunks * kChunk;
+    owned_.emplace_back(new std::uint64_t[last_len_]);
+    for (std::uint64_t c = 0; c < chunks; ++c) index_.push_back(owned_.back().get() + c * kChunk);
+  }
+  const std::uint64_t offset = size_;
+  std::memcpy(index_[offset / kChunk] + offset % kChunk, src, n * sizeof(std::uint64_t));
+  size_ += n;
+  return offset;
+}
+
+void AddrStore::shrink_to_fit() {
+  if (owned_.empty()) return;
+  const std::uint64_t chunks = last_len_ / kChunk;
+  const std::uint64_t start = (static_cast<std::uint64_t>(index_.size()) - chunks) * kChunk;
+  const std::uint64_t used = size_ - start;
+  if (used < last_len_) {
+    std::unique_ptr<std::uint64_t[]> exact(new std::uint64_t[used]);
+    std::memcpy(exact.get(), owned_.back().get(), used * sizeof(std::uint64_t));
+    owned_.back() = std::move(exact);
+    // Keep only the index entries the used prefix touches; the next append
+    // (if any) starts a fresh allocation.
+    index_.resize(static_cast<std::size_t>(start / kChunk + (used + kChunk - 1) / kChunk));
+    for (std::size_t c = static_cast<std::size_t>(start / kChunk); c < index_.size(); ++c) {
+      index_[c] = owned_.back().get() + (c * kChunk - start);
+    }
+    last_len_ = used;
+  }
+  size_ = static_cast<std::uint64_t>(index_.size()) * kChunk;
+}
 
 namespace {
 
@@ -32,15 +83,20 @@ std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
 }
 
 /// Thrown when a warp cannot be proven block-affine; caught per warp.
-struct Bail {};
+struct Bail {
+  BailReason reason;
+};
 
 /// Per-lane integer affine form over block coordinates:
 /// value(l) = b[l] + cx[l]*bx + cy[l]*by + cz[l]*bz. Lanes in `poison`
 /// hold unknown values (loaded data, non-affine results); they may flow
 /// through arithmetic but must never reach a trace-relevant decision.
+/// `bvar` (a subset of `poison`) marks the lanes whose value is unknown
+/// because it varies with the block; it only selects the BailReason.
 struct SInt {
   std::array<std::int64_t, kWarp> b{}, cx{}, cy{}, cz{};
   Mask poison = 0;
+  Mask bvar = 0;
 };
 
 /// Per-lane float vector; block-dependent floats are simply poisoned
@@ -49,6 +105,7 @@ struct SInt {
 struct SFlt {
   std::array<double, kWarp> v{};
   Mask poison = 0;
+  Mask bvar = 0;
 };
 
 /// Scalar symbolic values for shared-memory cells.
@@ -61,13 +118,23 @@ struct SFSca {
   bool poison = false;
 };
 
+/// Addresses one site recorded since the last flush. Records are reused
+/// across flushes and warps, so steady state allocates nothing.
 struct SymRec {
-  std::int32_t slot;
-  bool is_store;
-  std::int64_t dx, dy, dz;  // byte deltas; uniform across all accesses
-  bool have_delta;
-  std::vector<std::uint64_t> base_addrs;
+  std::int32_t slot = 0;
+  bool is_store = false;
+  std::int64_t dx = 0, dy = 0, dz = 0;  // byte deltas; uniform across all accesses
+  bool have_delta = false;
+  std::vector<std::uint64_t> addrs;
 };
+
+constexpr Mask bit(int l) { return Mask{1} << l; }
+constexpr Mask kAllLanes = ~Mask{0};
+
+/// Reason for an unknown lane of a value whose block-derived lanes are `bvar`.
+BailReason unknown_reason(Mask bvar, int l) {
+  return (bvar & bit(l)) != 0 ? BailReason::kBlockDependent : BailReason::kPoisoned;
+}
 
 class Symbolic {
  public:
@@ -99,37 +166,77 @@ class Symbolic {
   ParamWarpTrace run_warp(int wid);
 
  private:
+  // ---- operands ----
+  //
+  // Handlers read operands by reference; only when the destination is
+  // also an operand is that operand copied first, because several
+  // handlers write one field of a lane before reading another.
+
+  const SInt& si_a(const Ins& ins) {
+    return ins.a != ins.dst ? si_[ins.a] : (tmp_i_a_ = si_[ins.a]);
+  }
+  const SInt& si_b(const Ins& ins) {
+    return ins.b != ins.dst ? si_[ins.b] : (tmp_i_b_ = si_[ins.b]);
+  }
+  const SFlt& sf_a(const Ins& ins) {
+    return ins.a != ins.dst ? sf_[ins.a] : (tmp_f_a_ = sf_[ins.a]);
+  }
+  const SFlt& sf_b(const Ins& ins) {
+    return ins.b != ins.dst ? sf_[ins.b] : (tmp_f_b_ = sf_[ins.b]);
+  }
+
   // ---- affine range analysis over the grid box ----
 
-  bool bdep(const SInt& a, int l) const {
-    return a.cx[l] != 0 || a.cy[l] != 0 || a.cz[l] != 0;
+  static bool bdep(const SInt& a, int l) {
+    return (a.cx[l] | a.cy[l] | a.cz[l]) != 0;
   }
 
-  I128 lo(const SInt& a, int l) const {
-    I128 v = a.b[l];
-    v += std::min<I128>(0, I128(a.cx[l]) * ex_);
-    v += std::min<I128>(0, I128(a.cy[l]) * ey_);
-    v += std::min<I128>(0, I128(a.cz[l]) * ez_);
+  /// Minimum / maximum of b + cx*bx + cy*by + cz*bz over the grid box.
+  I128 lo(std::int64_t b, std::int64_t cx, std::int64_t cy, std::int64_t cz) const {
+    I128 v = b;
+    if ((cx | cy | cz) == 0) return v;
+    v += std::min<I128>(0, I128(cx) * ex_);
+    v += std::min<I128>(0, I128(cy) * ey_);
+    v += std::min<I128>(0, I128(cz) * ez_);
     return v;
   }
-  I128 hi(const SInt& a, int l) const {
-    I128 v = a.b[l];
-    v += std::max<I128>(0, I128(a.cx[l]) * ex_);
-    v += std::max<I128>(0, I128(a.cy[l]) * ey_);
-    v += std::max<I128>(0, I128(a.cz[l]) * ez_);
+  I128 hi(std::int64_t b, std::int64_t cx, std::int64_t cy, std::int64_t cz) const {
+    I128 v = b;
+    if ((cx | cy | cz) == 0) return v;
+    v += std::max<I128>(0, I128(cx) * ex_);
+    v += std::max<I128>(0, I128(cy) * ey_);
+    v += std::max<I128>(0, I128(cz) * ez_);
     return v;
   }
+  I128 lo(const SInt& a, int l) const { return lo(a.b[l], a.cx[l], a.cy[l], a.cz[l]); }
+  I128 hi(const SInt& a, int l) const { return hi(a.b[l], a.cx[l], a.cy[l], a.cz[l]); }
 
-  /// Truth value of lane `l` if it is the same for every block; nullopt
-  /// when the lane is poisoned or the sign of the value is block-dependent.
-  std::optional<bool> truth(const SInt& a, int l) const {
-    if (a.poison & (1u << l)) return std::nullopt;
-    if (!bdep(a, l)) return a.b[l] != 0;
+  /// Truth value of lane `l` if it is the same for every block (1 or 0);
+  /// -1 when the lane is poisoned or the sign of the value is block-
+  /// dependent.
+  int truth(const SInt& a, int l) const {
+    if ((a.poison & bit(l)) != 0) return -1;
+    if (!bdep(a, l)) return a.b[l] != 0 ? 1 : 0;
     const I128 l_ = lo(a, l);
     const I128 h_ = hi(a, l);
-    if (l_ > 0 || h_ < 0) return true;
-    if (l_ == 0 && h_ == 0) return false;
-    return std::nullopt;
+    if (l_ > 0 || h_ < 0) return 1;
+    if (l_ == 0 && h_ == 0) return 0;
+    return -1;
+  }
+  static int truth(const SFlt& a, int l) {
+    if ((a.poison & bit(l)) != 0) return -1;
+    return a.v[l] != 0.0 ? 1 : 0;
+  }
+
+  /// The lane bit of `l` when an unknown truth of `a` there is block-derived.
+  static Mask unknown_bvar(const SInt& a, int l) {
+    return (a.poison & bit(l)) != 0 ? (a.bvar & bit(l)) : bit(l);
+  }
+  static Mask unknown_bvar(const SFlt& a, int l) { return a.bvar & bit(l); }
+
+  /// Why lane `l` of `a` has no grid-uniform truth value.
+  static BailReason unknown_truth(const SInt& a, int l) {
+    return (a.poison & bit(l)) != 0 ? unknown_reason(a.bvar, l) : BailReason::kBlockDependent;
   }
 
   /// Uniform truth of a condition register over the active mask; bails if
@@ -138,19 +245,21 @@ class Symbolic {
     Mask out = 0;
     if ((ins.t & 2) != 0) {
       const SFlt& a = sf_[ins.a];
+      if (const Mask bad = a.poison & active; bad != 0) {
+        throw Bail{unknown_reason(a.bvar, std::countr_zero(bad))};
+      }
       for (Mask m = active; m != 0; m &= m - 1) {
         const int l = std::countr_zero(m);
-        if (a.poison & (1u << l)) throw Bail{};
-        if (a.v[l] != 0.0) out |= 1u << l;
+        if (a.v[l] != 0.0) out |= bit(l);
       }
       return out;
     }
     const SInt& a = si_[ins.a];
     for (Mask m = active; m != 0; m &= m - 1) {
       const int l = std::countr_zero(m);
-      const auto t = truth(a, l);
-      if (!t) throw Bail{};
-      if (*t) out |= 1u << l;
+      const int t = truth(a, l);
+      if (t < 0) throw Bail{unknown_truth(a, l)};
+      if (t != 0) out |= bit(l);
     }
     return out;
   }
@@ -158,29 +267,35 @@ class Symbolic {
   // ---- trace event capture ----
 
   void emit_compute(std::uint32_t cycles, std::uint32_t active) {
-    auto& ev = out_->events;
-    if (!ev.empty() && ev.back().kind == EventKind::kCompute) {
-      ev.back().cycles += cycles;
-      ev.back().lanes += cycles * active;
+    if (!events_.empty() && events_.back().kind == EventKind::kCompute) {
+      events_.back().cycles += cycles;
+      events_.back().lanes += cycles * active;
       return;
     }
     ParamEvent e;
     e.kind = EventKind::kCompute;
     e.cycles = cycles;
     e.lanes = cycles * active;
-    ev.push_back(std::move(e));
+    events_.push_back(e);
   }
 
   SymRec& rec_for(std::int32_t slot, bool is_store) {
-    for (auto& r : recs_) {
+    for (std::size_t i = 0; i < n_recs_; ++i) {
+      SymRec& r = recs_[i];
       if (r.slot == slot && r.is_store == is_store) return r;
     }
-    recs_.push_back({slot, is_store, 0, 0, 0, false, {}});
-    return recs_.back();
+    if (n_recs_ == recs_.size()) recs_.emplace_back();
+    SymRec& r = recs_[n_recs_++];
+    r.slot = slot;
+    r.is_store = is_store;
+    r.have_delta = false;
+    r.addrs.clear();
+    return r;
   }
 
   void flush() {
-    for (auto& r : recs_) {
+    for (std::size_t i = 0; i < n_recs_; ++i) {
+      SymRec& r = recs_[i];
       ParamEvent e;
       e.kind = EventKind::kMem;
       e.slot = r.slot;
@@ -190,12 +305,25 @@ class Symbolic {
       e.dz = r.dz;
       // Pre-dedup lane accesses: identical to the concrete VM's count
       // (one address per active lane per instruction).
-      e.lanes = static_cast<std::uint32_t>(r.base_addrs.size());
-      std::sort(r.base_addrs.begin(), r.base_addrs.end());
-      e.base_addrs = std::move(r.base_addrs);
-      out_->events.push_back(std::move(e));
+      e.lanes = static_cast<std::uint32_t>(r.addrs.size());
+      if (!std::is_sorted(r.addrs.begin(), r.addrs.end())) {
+        std::sort(r.addrs.begin(), r.addrs.end());
+      }
+      e.addr = out_->addrs.append(r.addrs.data(), r.addrs.size());
+      events_.push_back(e);
     }
-    recs_.clear();
+    n_recs_ = 0;
+  }
+
+  static void set_delta(SymRec& rec, std::int64_t dx, std::int64_t dy, std::int64_t dz) {
+    if (!rec.have_delta) {
+      rec.dx = dx;
+      rec.dy = dy;
+      rec.dz = dz;
+      rec.have_delta = true;
+    } else if (rec.dx != dx || rec.dy != dy || rec.dz != dz) {
+      throw Bail{BailReason::kNonUniformDelta};
+    }
   }
 
   /// Records one global access: index must be affine and in bounds over
@@ -205,32 +333,58 @@ class Symbolic {
     const DeviceArray& arr = *slot.array;
     const auto count = static_cast<I128>(arr.count());
     const auto elem = static_cast<std::int64_t>(ir::elem_size(arr.type));
-    SymRec& rec = rec_for(ins.x, is_store);
     const SInt& idx = si_[ins.a];
+    if (const Mask bad = idx.poison & active; bad != 0) {
+      throw Bail{unknown_reason(idx.bvar, std::countr_zero(bad))};
+    }
+    SymRec& rec = rec_for(ins.x, is_store);
+    if (active == 0) return;
+    const std::uint64_t base = arr.base;
+    const auto uelem = static_cast<std::uint64_t>(elem);
+
+    // Common case: every active lane shares one set of block coefficients.
+    // Bounds then follow from the extreme offsets alone, the delta is set
+    // once, and the addresses append in bulk.
+    const int first = std::countr_zero(active);
+    const std::int64_t cx = idx.cx[first];
+    const std::int64_t cy = idx.cy[first];
+    const std::int64_t cz = idx.cz[first];
+    std::int64_t bmin = idx.b[first];
+    std::int64_t bmax = bmin;
+    bool uniform = true;
     for (Mask m = active; m != 0; m &= m - 1) {
       const int l = std::countr_zero(m);
-      if (idx.poison & (1u << l)) throw Bail{};
-      if (lo(idx, l) < 0 || hi(idx, l) >= count) throw Bail{};
-      const std::int64_t dx = wrap_mul(idx.cx[l], elem);
-      const std::int64_t dy = wrap_mul(idx.cy[l], elem);
-      const std::int64_t dz = wrap_mul(idx.cz[l], elem);
-      if (!rec.have_delta) {
-        rec.dx = dx;
-        rec.dy = dy;
-        rec.dz = dz;
-        rec.have_delta = true;
-      } else if (rec.dx != dx || rec.dy != dy || rec.dz != dz) {
-        throw Bail{};
+      uniform = uniform && idx.cx[l] == cx && idx.cy[l] == cy && idx.cz[l] == cz;
+      bmin = std::min(bmin, idx.b[l]);
+      bmax = std::max(bmax, idx.b[l]);
+    }
+    if (uniform) {
+      if (lo(bmin, cx, cy, cz) < 0 || hi(bmax, cx, cy, cz) >= count) {
+        throw Bail{BailReason::kOutOfBounds};
       }
-      rec.base_addrs.push_back(arr.base +
-                               static_cast<std::uint64_t>(idx.b[l]) * static_cast<std::uint64_t>(elem));
+      set_delta(rec, wrap_mul(cx, elem), wrap_mul(cy, elem), wrap_mul(cz, elem));
+      const std::size_t n0 = rec.addrs.size();
+      rec.addrs.resize(n0 + static_cast<std::size_t>(std::popcount(active)));
+      std::uint64_t* out = rec.addrs.data() + n0;
+      for (Mask m = active; m != 0; m &= m - 1) {
+        *out++ = base + static_cast<std::uint64_t>(idx.b[std::countr_zero(m)]) * uelem;
+      }
+      return;
+    }
+    for (Mask m = active; m != 0; m &= m - 1) {
+      const int l = std::countr_zero(m);
+      if (lo(idx, l) < 0 || hi(idx, l) >= count) throw Bail{BailReason::kOutOfBounds};
+      set_delta(rec, wrap_mul(idx.cx[l], elem), wrap_mul(idx.cy[l], elem),
+                wrap_mul(idx.cz[l], elem));
+      rec.addrs.push_back(base + static_cast<std::uint64_t>(idx.b[l]) * uelem);
     }
   }
 
   /// Concrete, block-invariant lane value — shared-memory indices must be
   /// this strong (the buffer is addressed identically in every block).
-  std::int64_t concrete(const SInt& a, int l) const {
-    if ((a.poison & (1u << l)) || bdep(a, l)) throw Bail{};
+  static std::int64_t concrete(const SInt& a, int l) {
+    if ((a.poison & bit(l)) != 0) throw Bail{unknown_reason(a.bvar, l)};
+    if (bdep(a, l)) throw Bail{BailReason::kBlockDependent};
     return a.b[l];
   }
 
@@ -239,16 +393,23 @@ class Symbolic {
   std::int64_t ex_ = 0, ey_ = 0, ez_ = 0;
   std::vector<SInt> si_;
   std::vector<SFlt> sf_;
+  SInt tmp_i_a_, tmp_i_b_;
+  SFlt tmp_f_a_, tmp_f_b_;
   std::vector<std::vector<SSca>> shi_;
   std::vector<std::vector<SFSca>> shf_;
   std::vector<SymRec> recs_;
+  std::size_t n_recs_ = 0;
+  /// Events of the warp being symbolized; copied out at kEnd with exact
+  /// capacity, so the scratch's growth slack never reaches the cache.
+  std::vector<ParamEvent> events_;
   ParamWarpTrace* out_ = nullptr;
 };
 
 ParamWarpTrace Symbolic::run_warp(int wid) {
   ParamWarpTrace pt;
   out_ = &pt;
-  recs_.clear();
+  n_recs_ = 0;
+  events_.clear();
 
   for (const std::uint16_t r : p_.var_iregs) si_[r] = {};
   for (const std::uint16_t r : p_.var_fregs) sf_[r] = {};
@@ -264,7 +425,7 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
   for (int l = 0; l < kWarp; ++l) {
     const std::uint64_t linear = static_cast<std::uint64_t>(wid) * kWarp + l;
     if (linear < threads) {
-      full |= 1u << l;
+      full |= bit(l);
       const arch::Dim3 t3 = arch::delinearize(linear, launch_.block);
       tx.b[l] = t3.x;
       ty.b[l] = t3.y;
@@ -283,17 +444,18 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
     switch (ins.op) {
       case Op::kAddI:
       case Op::kSubI: {
+        const SInt& a = si_a(ins);
+        const SInt& b = si_b(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const SInt b = si_[ins.b];
-        const bool sub = ins.op == Op::kSubI;
-        for (int l = 0; l < kWarp; ++l) {
-          if (sub) {
+        if (ins.op == Op::kSubI) {
+          for (int l = 0; l < kWarp; ++l) {
             d.b[l] = wrap_sub(a.b[l], b.b[l]);
             d.cx[l] = wrap_sub(a.cx[l], b.cx[l]);
             d.cy[l] = wrap_sub(a.cy[l], b.cy[l]);
             d.cz[l] = wrap_sub(a.cz[l], b.cz[l]);
-          } else {
+          }
+        } else {
+          for (int l = 0; l < kWarp; ++l) {
             d.b[l] = wrap_add(a.b[l], b.b[l]);
             d.cx[l] = wrap_add(a.cx[l], b.cx[l]);
             d.cy[l] = wrap_add(a.cy[l], b.cy[l]);
@@ -301,18 +463,23 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           }
         }
         d.poison = a.poison | b.poison;
+        d.bvar = a.bvar | b.bvar;
         break;
       }
       case Op::kMulI: {
+        const SInt& a = si_a(ins);
+        const SInt& b = si_b(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const SInt b = si_[ins.b];
-        Mask poison = a.poison | b.poison;
+        const Mask in_poison = a.poison | b.poison;
+        Mask poison = in_poison;
+        Mask bvar = a.bvar | b.bvar;
         for (int l = 0; l < kWarp; ++l) {
           const bool ab = bdep(a, l);
           const bool bb = bdep(b, l);
           if (ab && bb) {
-            poison |= 1u << l;  // quadratic in block coords: not affine
+            // Quadratic in block coords: not affine.
+            poison |= bit(l);
+            bvar |= bit(l) & ~in_poison;
             d.b[l] = 0;
             d.cx[l] = d.cy[l] = d.cz[l] = 0;
           } else if (ab) {
@@ -328,11 +495,12 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           }
         }
         d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kNegI: {
+        const SInt& a = si_a(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
         for (int l = 0; l < kWarp; ++l) {
           d.b[l] = wrap_sub(0, a.b[l]);
           d.cx[l] = wrap_sub(0, a.cx[l]);
@@ -340,19 +508,21 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           d.cz[l] = wrap_sub(0, a.cz[l]);
         }
         d.poison = a.poison;
+        d.bvar = a.bvar;
         break;
       }
       case Op::kMinI:
       case Op::kMaxI: {
+        const SInt& a = si_a(ins);
+        const SInt& b = si_b(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const SInt b = si_[ins.b];
         const bool is_max = ins.op == Op::kMaxI;
         Mask poison = a.poison | b.poison;
+        Mask bvar = a.bvar | b.bvar;
         for (int l = 0; l < kWarp; ++l) {
           d.cx[l] = d.cy[l] = d.cz[l] = 0;
           d.b[l] = 0;
-          if (poison & (1u << l)) continue;
+          if ((poison & bit(l)) != 0) continue;
           // Identical coefficients: min/max distributes over the shared
           // affine part. Otherwise resolve by range separation.
           if (a.cx[l] == b.cx[l] && a.cy[l] == b.cy[l] && a.cz[l] == b.cz[l]) {
@@ -373,36 +543,42 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             d.cy[l] = w.cy[l];
             d.cz[l] = w.cz[l];
           } else {
-            poison |= 1u << l;
+            poison |= bit(l);
+            bvar |= bit(l);
           }
         }
         d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kDivI:
       case Op::kModI: {
+        const SInt& a = si_a(ins);
+        const SInt& b = si_b(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const SInt b = si_[ins.b];
         Mask poison = 0;
+        Mask bvar = 0;
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           // The divisor decides whether every block faults identically;
           // it must be a known block-invariant value.
-          if ((b.poison & (1u << l)) || bdep(b, l)) throw Bail{};
-          if (b.b[l] == 0) throw Bail{};  // fallback reproduces the fault
-          if ((a.poison & (1u << l)) || bdep(a, l)) {
-            poison |= 1u << l;  // floor division is not affine in bx
+          if ((b.poison & bit(l)) != 0) throw Bail{unknown_reason(b.bvar, l)};
+          if (bdep(b, l)) throw Bail{BailReason::kBlockDependent};
+          if (b.b[l] == 0) throw Bail{BailReason::kError};  // fallback reproduces the fault
+          if ((a.poison & bit(l)) != 0 || bdep(a, l)) {
+            // Floor division is not affine in bx.
+            poison |= bit(l);
+            bvar |= unknown_bvar(a, l);
             d.b[l] = 0;
-            d.cx[l] = d.cy[l] = d.cz[l] = 0;
           } else {
             d.b[l] = ins.op == Op::kDivI ? a.b[l] / b.b[l] : a.b[l] % b.b[l];
-            d.cx[l] = d.cy[l] = d.cz[l] = 0;
           }
+          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
         // Inactive lanes keep stale register contents in the VM; mark them
         // poisoned so nothing trace-relevant can consume them.
-        d.poison = poison | (d.poison & ~cur) | ~cur;
+        d.poison = poison | ~cur;
+        d.bvar = bvar;
         break;
       }
       case Op::kAddF:
@@ -411,78 +587,85 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
       case Op::kDivF:
       case Op::kMinF:
       case Op::kMaxF: {
+        const SFlt& a = sf_a(ins);
+        const SFlt& b = sf_b(ins);
         SFlt& d = sf_[ins.dst];
-        const SFlt a = sf_[ins.a];
-        const SFlt b = sf_[ins.b];
-        for (int l = 0; l < kWarp; ++l) {
-          double r = 0.0;
-          switch (ins.op) {
-            case Op::kAddF: r = a.v[l] + b.v[l]; break;
-            case Op::kSubF: r = a.v[l] - b.v[l]; break;
-            case Op::kMulF: r = a.v[l] * b.v[l]; break;
-            case Op::kDivF: r = a.v[l] / b.v[l]; break;
-            case Op::kMinF: r = std::min(a.v[l], b.v[l]); break;
-            default: r = std::max(a.v[l], b.v[l]); break;
-          }
-          d.v[l] = static_cast<float>(r);
-        }
-        d.poison = a.poison | b.poison;
-        break;
-      }
-      case Op::kNegF: {
-        SFlt& d = sf_[ins.dst];
-        const SFlt a = sf_[ins.a];
-        for (int l = 0; l < kWarp; ++l) d.v[l] = -a.v[l];
-        d.poison = a.poison;
-        break;
-      }
-      case Op::kCmpI: {
-        SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const SInt b = si_[ins.b];
-        const auto op = static_cast<expr::BinOp>(ins.t);
-        Mask poison = a.poison | b.poison;
-        for (int l = 0; l < kWarp; ++l) {
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          d.b[l] = 0;
-          if (poison & (1u << l)) continue;
-          // diff = a - b; the comparison is block-uniform when the sign
-          // of diff is determined over the whole grid box.
-          SInt diff;
-          diff.b[l] = wrap_sub(a.b[l], b.b[l]);
-          diff.cx[l] = wrap_sub(a.cx[l], b.cx[l]);
-          diff.cy[l] = wrap_sub(a.cy[l], b.cy[l]);
-          diff.cz[l] = wrap_sub(a.cz[l], b.cz[l]);
-          const I128 dl = lo(diff, l);
-          const I128 dh = hi(diff, l);
-          std::optional<bool> r;
-          using expr::BinOp;
-          switch (op) {
-            case BinOp::kLt: r = dh < 0 ? std::optional(true) : dl >= 0 ? std::optional(false) : std::nullopt; break;
-            case BinOp::kLe: r = dh <= 0 ? std::optional(true) : dl > 0 ? std::optional(false) : std::nullopt; break;
-            case BinOp::kGt: r = dl > 0 ? std::optional(true) : dh <= 0 ? std::optional(false) : std::nullopt; break;
-            case BinOp::kGe: r = dl >= 0 ? std::optional(true) : dh < 0 ? std::optional(false) : std::nullopt; break;
-            case BinOp::kEq: r = (dl == 0 && dh == 0) ? std::optional(true)
-                                 : (dl > 0 || dh < 0) ? std::optional(false)
-                                                      : std::nullopt; break;
-            case BinOp::kNe: r = (dl > 0 || dh < 0) ? std::optional(true)
-                                 : (dl == 0 && dh == 0) ? std::optional(false)
-                                                        : std::nullopt; break;
-            default: r = std::nullopt; break;
-          }
-          if (!r) {
-            poison |= 1u << l;
-          } else {
-            d.b[l] = *r ? 1 : 0;
+        const Mask poison = a.poison | b.poison;
+        // Every consumer checks poison before it reads a value, so a fully
+        // poisoned result (data arithmetic, the common case) is not computed.
+        if (poison != kAllLanes) {
+          for (int l = 0; l < kWarp; ++l) {
+            double r = 0.0;
+            switch (ins.op) {
+              case Op::kAddF: r = a.v[l] + b.v[l]; break;
+              case Op::kSubF: r = a.v[l] - b.v[l]; break;
+              case Op::kMulF: r = a.v[l] * b.v[l]; break;
+              case Op::kDivF: r = a.v[l] / b.v[l]; break;
+              case Op::kMinF: r = std::min(a.v[l], b.v[l]); break;
+              default: r = std::max(a.v[l], b.v[l]); break;
+            }
+            d.v[l] = static_cast<float>(r);
           }
         }
         d.poison = poison;
+        d.bvar = a.bvar | b.bvar;
+        break;
+      }
+      case Op::kNegF: {
+        const SFlt& a = sf_a(ins);
+        SFlt& d = sf_[ins.dst];
+        if (a.poison != kAllLanes) {
+          for (int l = 0; l < kWarp; ++l) d.v[l] = -a.v[l];
+        }
+        d.poison = a.poison;
+        d.bvar = a.bvar;
+        break;
+      }
+      case Op::kCmpI: {
+        const SInt& a = si_a(ins);
+        const SInt& b = si_b(ins);
+        SInt& d = si_[ins.dst];
+        const auto op = static_cast<expr::BinOp>(ins.t);
+        Mask poison = a.poison | b.poison;
+        Mask bvar = a.bvar | b.bvar;
+        for (int l = 0; l < kWarp; ++l) {
+          d.cx[l] = d.cy[l] = d.cz[l] = 0;
+          d.b[l] = 0;
+          if ((poison & bit(l)) != 0) continue;
+          // diff = a - b; the comparison is block-uniform when the sign
+          // of diff is determined over the whole grid box.
+          const std::int64_t db = wrap_sub(a.b[l], b.b[l]);
+          const std::int64_t dcx = wrap_sub(a.cx[l], b.cx[l]);
+          const std::int64_t dcy = wrap_sub(a.cy[l], b.cy[l]);
+          const std::int64_t dcz = wrap_sub(a.cz[l], b.cz[l]);
+          const I128 dl = lo(db, dcx, dcy, dcz);
+          const I128 dh = hi(db, dcx, dcy, dcz);
+          int r = -1;  // -1: the truth varies over the grid
+          using expr::BinOp;
+          switch (op) {
+            case BinOp::kLt: r = dh < 0 ? 1 : dl >= 0 ? 0 : -1; break;
+            case BinOp::kLe: r = dh <= 0 ? 1 : dl > 0 ? 0 : -1; break;
+            case BinOp::kGt: r = dl > 0 ? 1 : dh <= 0 ? 0 : -1; break;
+            case BinOp::kGe: r = dl >= 0 ? 1 : dh < 0 ? 0 : -1; break;
+            case BinOp::kEq: r = (dl == 0 && dh == 0) ? 1 : (dl > 0 || dh < 0) ? 0 : -1; break;
+            case BinOp::kNe: r = (dl > 0 || dh < 0) ? 1 : (dl == 0 && dh == 0) ? 0 : -1; break;
+            default: break;
+          }
+          if (r < 0) {
+            poison |= bit(l);
+            bvar |= bit(l);
+          } else {
+            d.b[l] = r;
+          }
+        }
+        d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kCmpF: {
         SInt& d = si_[ins.dst];
-        const SFlt a = sf_[ins.a];
-        const SFlt b = sf_[ins.b];
+        const SFlt& a = sf_[ins.a];
+        const SFlt& b = sf_[ins.b];
         const auto op = static_cast<expr::BinOp>(ins.t);
         for (int l = 0; l < kWarp; ++l) {
           bool r = false;
@@ -502,75 +685,84 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
         d.poison = a.poison | b.poison;
+        d.bvar = a.bvar | b.bvar;
         break;
       }
       case Op::kNotI:
       case Op::kBoolI: {
+        const SInt& a = si_a(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const bool invert = ins.op == Op::kNotI;
+        const int invert = ins.op == Op::kNotI ? 1 : 0;
         Mask poison = 0;
+        Mask bvar = 0;
         for (int l = 0; l < kWarp; ++l) {
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          const auto t = truth(a, l);
-          if (!t) {
-            poison |= 1u << l;
+          const int t = truth(a, l);
+          if (t < 0) {
+            poison |= bit(l);
+            bvar |= unknown_bvar(a, l);
             d.b[l] = 0;
           } else {
-            d.b[l] = (*t != invert) ? 1 : 0;
+            d.b[l] = t ^ invert;
           }
+          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
         d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kNotF:
       case Op::kBoolF: {
         SInt& d = si_[ins.dst];
-        const SFlt a = sf_[ins.a];
+        const SFlt& a = sf_[ins.a];
         const bool invert = ins.op == Op::kNotF;
         for (int l = 0; l < kWarp; ++l) {
           d.b[l] = ((a.v[l] != 0.0) != invert) ? 1 : 0;
           d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
         d.poison = a.poison;
+        d.bvar = a.bvar;
         break;
       }
       case Op::kAndB:
       case Op::kOrB: {
+        const SInt& a = si_a(ins);
+        const SInt& b = si_b(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
-        const SInt b = si_[ins.b];
         const bool is_or = ins.op == Op::kOrB;
         Mask poison = 0;
+        Mask bvar = 0;
         for (int l = 0; l < kWarp; ++l) {
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          const auto at = truth(a, l);
-          const auto bt = truth(b, l);
-          if (!at || !bt) {
-            poison |= 1u << l;
+          const int at = truth(a, l);
+          const int bt = truth(b, l);
+          if (at < 0 || bt < 0) {
+            poison |= bit(l);
+            bvar |= (at < 0 ? unknown_bvar(a, l) : 0) | (bt < 0 ? unknown_bvar(b, l) : 0);
             d.b[l] = 0;
           } else {
-            d.b[l] = (is_or ? (*at || *bt) : (*at && *bt)) ? 1 : 0;
+            d.b[l] = is_or ? (at | bt) : (at & bt);
           }
+          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
         d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kLogicalCut: {
-        const bool is_or = (ins.t & 1) != 0;
+        const int is_or = (ins.t & 1) != 0 ? 1 : 0;
         Mask rhs = 0;
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
-          std::optional<bool> t;
+          int t;
           if ((ins.t & 2) != 0) {
             const SFlt& a = sf_[ins.a];
-            if (a.poison & (1u << l)) throw Bail{};
-            t = a.v[l] != 0.0;
+            t = truth(a, l);
+            if (t < 0) throw Bail{unknown_reason(a.bvar, l)};
           } else {
-            t = truth(si_[ins.a], l);
+            const SInt& a = si_[ins.a];
+            t = truth(a, l);
+            if (t < 0) throw Bail{unknown_truth(a, l)};
           }
-          if (!t) throw Bail{};
-          if (*t != is_or) rhs |= 1u << l;
+          if (t != is_or) rhs |= bit(l);
         }
         rs.push_pred(rhs);
         if (rhs == 0) {
@@ -582,78 +774,80 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
       case Op::kLogicalEnd: {
         rs.pop_pred();
         const bool is_or = (ins.t & 1) != 0;
+        const bool a_f = (ins.t & 2) != 0;
+        const bool b_f = (ins.t & 4) != 0;
+        // Each lane reads both operands before writing, so `dst` may alias.
+        const SInt* ai = a_f ? nullptr : &si_[ins.a];
+        const SInt* bi = b_f ? nullptr : &si_[ins.b];
+        const SFlt* af = a_f ? &sf_[ins.a] : nullptr;
+        const SFlt* bf = b_f ? &sf_[ins.b] : nullptr;
         SInt& d = si_[ins.dst];
         Mask poison = 0;
+        Mask bvar = 0;
         for (int l = 0; l < kWarp; ++l) {
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          std::optional<bool> at;
-          if ((ins.t & 2) != 0) {
-            const SFlt& a = sf_[ins.a];
-            at = (a.poison & (1u << l)) ? std::nullopt : std::optional(a.v[l] != 0.0);
-          } else {
-            at = truth(si_[ins.a], l);
-          }
-          std::optional<bool> bt;
-          if ((ins.t & 4) != 0) {
-            const SFlt& b = sf_[ins.b];
-            bt = (b.poison & (1u << l)) ? std::nullopt : std::optional(b.v[l] != 0.0);
-          } else {
-            bt = truth(si_[ins.b], l);
-          }
-          if (!at || !bt) {
-            poison |= 1u << l;
+          const int at = a_f ? truth(*af, l) : truth(*ai, l);
+          const int bt = b_f ? truth(*bf, l) : truth(*bi, l);
+          if (at < 0 || bt < 0) {
+            poison |= bit(l);
+            if (at < 0) bvar |= a_f ? unknown_bvar(*af, l) : unknown_bvar(*ai, l);
+            if (bt < 0) bvar |= b_f ? unknown_bvar(*bf, l) : unknown_bvar(*bi, l);
             d.b[l] = 0;
           } else {
-            d.b[l] = (is_or ? (*at || *bt) : (*at && *bt)) ? 1 : 0;
+            d.b[l] = is_or ? (at | bt) : (at & bt);
           }
+          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
         d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kCvtIF: {
         SFlt& d = sf_[ins.dst];
-        const SInt a = si_[ins.a];
+        const SInt& a = si_[ins.a];
         Mask poison = a.poison;
+        Mask bvar = a.bvar;
         for (int l = 0; l < kWarp; ++l) {
           if (bdep(a, l)) {
-            poison |= 1u << l;  // block-dependent floats are not tracked
+            // Block-dependent floats are not tracked.
+            bvar |= bit(l) & ~poison;
+            poison |= bit(l);
             d.v[l] = 0.0;
           } else {
             d.v[l] = static_cast<double>(a.b[l]);
           }
         }
         d.poison = poison;
+        d.bvar = bvar;
         break;
       }
       case Op::kCvtFI: {
         SInt& d = si_[ins.dst];
-        const SFlt a = sf_[ins.a];
+        const SFlt& a = sf_[ins.a];
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          if (a.poison & (1u << l)) {
-            d.poison |= 1u << l;
-            d.b[l] = 0;
-          } else {
-            d.poison &= ~(1u << l);
-            d.b[l] = static_cast<std::int64_t>(a.v[l]);
-          }
+          d.poison = (d.poison & ~bit(l)) | (a.poison & bit(l));
+          d.bvar = (d.bvar & ~bit(l)) | (a.bvar & bit(l));
+          d.b[l] = (a.poison & bit(l)) != 0 ? 0 : static_cast<std::int64_t>(a.v[l]);
         }
         break;
       }
       case Op::kCastF: {
+        const SFlt& a = sf_a(ins);
         SFlt& d = sf_[ins.dst];
-        const SFlt a = sf_[ins.a];
-        for (int l = 0; l < kWarp; ++l) d.v[l] = static_cast<float>(a.v[l]);
+        if (a.poison != kAllLanes) {
+          for (int l = 0; l < kWarp; ++l) d.v[l] = static_cast<float>(a.v[l]);
+        }
         d.poison = a.poison;
+        d.bvar = a.bvar;
         break;
       }
       case Op::kCall: {
+        const SFlt& a = sf_a(ins);
+        const SFlt& b = sf_b(ins);
         SFlt& d = sf_[ins.dst];
-        const SFlt a = sf_[ins.a];
-        const SFlt b = sf_[ins.b];
         const auto id = static_cast<bc::Intrinsic>(ins.t);
-        for (Mask m = cur; m != 0; m &= m - 1) {
+        for (Mask m = cur & ~(a.poison | b.poison); m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           double r = 0.0;
           switch (id) {
@@ -667,79 +861,78 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             case bc::Intrinsic::kFmaxf: r = std::fmax(a.v[l], b.v[l]); break;
           }
           d.v[l] = static_cast<float>(r);
-          if ((a.poison | b.poison) & (1u << l)) {
-            d.poison |= 1u << l;
-          } else {
-            d.poison &= ~(1u << l);
-          }
         }
+        // Poisoned lanes keep stale values (never read, see kAddF).
+        d.poison = (d.poison & ~cur) | ((a.poison | b.poison) & cur);
+        d.bvar = (d.bvar & ~cur) | ((a.bvar | b.bvar) & cur);
         break;
       }
       case Op::kWVarII: {
+        const SInt& a = si_a(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.b[l] = a.b[l];
           d.cx[l] = a.cx[l];
           d.cy[l] = a.cy[l];
           d.cz[l] = a.cz[l];
-          d.poison = (d.poison & ~(1u << l)) | (a.poison & (1u << l));
         }
+        d.poison = (d.poison & ~cur) | (a.poison & cur);
+        d.bvar = (d.bvar & ~cur) | (a.bvar & cur);
         break;
       }
       case Op::kWVarIF: {
         SFlt& d = sf_[ins.dst];
-        const SInt a = si_[ins.a];
+        const SInt& a = si_[ins.a];
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
-          if ((a.poison & (1u << l)) || bdep(a, l)) {
-            d.poison |= 1u << l;
+          if ((a.poison & bit(l)) != 0 || bdep(a, l)) {
+            d.poison |= bit(l);
+            d.bvar = (d.bvar & ~bit(l)) | unknown_bvar(a, l);
             d.v[l] = 0.0;
           } else {
-            d.poison &= ~(1u << l);
+            d.poison &= ~bit(l);
+            d.bvar &= ~bit(l);
             d.v[l] = static_cast<float>(static_cast<double>(a.b[l]));
           }
         }
         break;
       }
       case Op::kWVarFF: {
+        const SFlt& a = sf_a(ins);
         SFlt& d = sf_[ins.dst];
-        const SFlt a = sf_[ins.a];
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.v[l] = static_cast<float>(a.v[l]);
-          d.poison = (d.poison & ~(1u << l)) | (a.poison & (1u << l));
         }
+        d.poison = (d.poison & ~cur) | (a.poison & cur);
+        d.bvar = (d.bvar & ~cur) | (a.bvar & cur);
         break;
       }
       case Op::kWVarFI: {
         SInt& d = si_[ins.dst];
-        const SFlt a = sf_[ins.a];
+        const SFlt& a = sf_[ins.a];
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          if (a.poison & (1u << l)) {
-            d.poison |= 1u << l;
-            d.b[l] = 0;
-          } else {
-            d.poison &= ~(1u << l);
-            d.b[l] = static_cast<std::int64_t>(a.v[l]);
-          }
+          d.b[l] = (a.poison & bit(l)) != 0 ? 0 : static_cast<std::int64_t>(a.v[l]);
         }
+        d.poison = (d.poison & ~cur) | (a.poison & cur);
+        d.bvar = (d.bvar & ~cur) | (a.bvar & cur);
         break;
       }
       case Op::kStepVar: {
+        const SInt& a = si_a(ins);
         SInt& d = si_[ins.dst];
-        const SInt a = si_[ins.a];
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.b[l] = wrap_add(d.b[l], a.b[l]);
           d.cx[l] = wrap_add(d.cx[l], a.cx[l]);
           d.cy[l] = wrap_add(d.cy[l], a.cy[l]);
           d.cz[l] = wrap_add(d.cz[l], a.cz[l]);
-          d.poison |= a.poison & (1u << l);
         }
+        d.poison |= a.poison & cur;
+        d.bvar |= a.bvar & cur;
         break;
       }
       case Op::kLoadG: {
@@ -747,8 +940,10 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         // Loaded data is unknown; poison the destination lanes.
         if ((ins.t & 1) != 0) {
           sf_[ins.dst].poison |= cur;
+          sf_[ins.dst].bvar &= ~cur;
         } else {
           si_[ins.dst].poison |= cur;
+          si_[ins.dst].bvar &= ~cur;
         }
         break;
       }
@@ -764,10 +959,13 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           for (Mask m = cur; m != 0; m &= m - 1) {
             const int l = std::countr_zero(m);
             const std::int64_t x = concrete(idx, l);
-            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) throw Bail{};
-            d.v[l] = buf[static_cast<std::size_t>(x)].v;
-            d.poison = (d.poison & ~(1u << l)) |
-                       (buf[static_cast<std::size_t>(x)].poison ? (1u << l) : 0);
+            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) {
+              throw Bail{BailReason::kOutOfBounds};
+            }
+            const SFSca& c = buf[static_cast<std::size_t>(x)];
+            d.v[l] = c.v;
+            d.poison = (d.poison & ~bit(l)) | (c.poison ? bit(l) : 0);
+            d.bvar &= ~bit(l);
           }
         } else {
           auto& buf = shi_[s];
@@ -775,13 +973,16 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           for (Mask m = cur; m != 0; m &= m - 1) {
             const int l = std::countr_zero(m);
             const std::int64_t x = concrete(idx, l);
-            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) throw Bail{};
+            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) {
+              throw Bail{BailReason::kOutOfBounds};
+            }
             const SSca& c = buf[static_cast<std::size_t>(x)];
             d.b[l] = c.b;
             d.cx[l] = c.cx;
             d.cy[l] = c.cy;
             d.cz[l] = c.cz;
-            d.poison = (d.poison & ~(1u << l)) | (c.poison ? (1u << l) : 0);
+            d.poison = (d.poison & ~bit(l)) | (c.poison ? bit(l) : 0);
+            d.bvar &= ~bit(l);
           }
         }
         break;
@@ -795,14 +996,16 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           for (Mask m = cur; m != 0; m &= m - 1) {
             const int l = std::countr_zero(m);
             const std::int64_t x = concrete(idx, l);
-            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) throw Bail{};
+            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) {
+              throw Bail{BailReason::kOutOfBounds};
+            }
             SFSca c;
             if (val_f) {
               c.v = static_cast<float>(sf_[ins.b].v[l]);
-              c.poison = (sf_[ins.b].poison & (1u << l)) != 0;
+              c.poison = (sf_[ins.b].poison & bit(l)) != 0;
             } else {
               const SInt& v = si_[ins.b];
-              if ((v.poison & (1u << l)) || bdep(v, l)) {
+              if ((v.poison & bit(l)) != 0 || bdep(v, l)) {
                 c.poison = true;
               } else {
                 c.v = static_cast<float>(static_cast<double>(v.b[l]));
@@ -815,11 +1018,13 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           for (Mask m = cur; m != 0; m &= m - 1) {
             const int l = std::countr_zero(m);
             const std::int64_t x = concrete(idx, l);
-            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) throw Bail{};
+            if (x < 0 || static_cast<std::size_t>(x) >= buf.size()) {
+              throw Bail{BailReason::kOutOfBounds};
+            }
             SSca c;
             if (val_f) {
               const SFlt& v = sf_[ins.b];
-              if (v.poison & (1u << l)) {
+              if ((v.poison & bit(l)) != 0) {
                 c.poison = true;
               } else {
                 c.b = static_cast<std::int64_t>(v.v[l]);
@@ -830,7 +1035,7 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
               c.cx = v.cx[l];
               c.cy = v.cy[l];
               c.cz = v.cz[l];
-              c.poison = (v.poison & (1u << l)) != 0;
+              c.poison = (v.poison & bit(l)) != 0;
             }
             // int32 truncation: exact only for block-invariant in-range
             // values; anything else becomes unknown.
@@ -853,7 +1058,7 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
       case Op::kBarrier: {
         ParamEvent e;
         e.kind = EventKind::kBarrier;
-        out_->events.push_back(std::move(e));
+        events_.push_back(e);
         break;
       }
       case Op::kJump:
@@ -894,11 +1099,13 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         rs.exit_loop();
         break;
       case Op::kError:
-        throw Bail{};  // the fallback VM raises the error per block
+        throw Bail{BailReason::kError};  // the fallback VM raises the error per block
       case Op::kEnd: {
         ParamEvent e;
         e.kind = EventKind::kEnd;
-        out_->events.push_back(std::move(e));
+        events_.push_back(e);
+        pt.events.assign(events_.begin(), events_.end());
+        pt.addrs.shrink_to_fit();
         pt.div = rs.counters();
         pt.valid = true;
         out_ = nullptr;
@@ -920,15 +1127,21 @@ std::vector<ParamWarpTrace> symbolize(const bc::Program& prog, const arch::Launc
   for (int w = 0; w < warps; ++w) {
     try {
       out.push_back(sym.run_warp(w));
-    } catch (const Bail&) {
-      out.push_back({});
+    } catch (const Bail& b) {
+      ParamWarpTrace failed;
+      failed.bail = b.reason;
+      out.push_back(std::move(failed));
       any_failed = true;
     }
   }
   // Cross-warp shared-memory flow: a concrete fallback warp invalidates
   // the symbolic shared state every later warp was proven against.
   if (any_failed && !prog.shared.empty()) {
-    for (auto& pt : out) pt = {};
+    for (auto& pt : out) {
+      if (!pt.valid) continue;
+      pt = {};
+      pt.bail = BailReason::kSharedInvalidated;
+    }
   }
   return out;
 }
@@ -987,10 +1200,12 @@ WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTabl
         const std::uint64_t delta = static_cast<std::uint64_t>(pe.dx) * block_idx.x +
                                     static_cast<std::uint64_t>(pe.dy) * block_idx.y +
                                     static_cast<std::uint64_t>(pe.dz) * block_idx.z;
-        sectors.resize(pe.base_addrs.size());
-        translate_sectors(pe.base_addrs.data(), pe.base_addrs.size(), delta, sectors.data());
-        // base_addrs is sorted and the delta is uniform, so the translated
-        // sectors stay sorted; sector dedup and line merge in one pass.
+        if (pe.lanes == 0) break;
+        sectors.resize(pe.lanes);
+        translate_sectors(pt.addrs.at(pe.addr), pe.lanes, delta, sectors.data());
+        // The addresses are sorted and the delta is uniform, so the
+        // translated sectors stay sorted; sector dedup and line merge in
+        // one pass.
         std::uint64_t last_sector = ~std::uint64_t{0};
         for (const std::uint64_t sector : sectors) {
           if (sector == last_sector) continue;

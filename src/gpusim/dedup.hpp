@@ -18,11 +18,18 @@
 // invariant params) — see PlanEntry::trace_key in the runner — and lives
 // inside one Gpu (device-array base addresses are stable for its
 // lifetime), so launches repeated within a plan run re-use both the site
-// table and the parametric traces.
+// table and the parametric traces; the runner releases an entry after
+// the last plan entry that uses its key.
+//
+// Cost model: symbolizing a warp costs about one concrete VM run of it,
+// and it replaces that run — the first block of a key is rendered (or,
+// for warps that bail, executed) exactly like every later block, so no
+// block is paid for twice.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "arch/launch.hpp"
@@ -31,23 +38,78 @@
 
 namespace catt::sim::dedup {
 
-/// One event of a block-parametric warp trace. kMem events carry the
-/// byte-address vector for block (0,0,0) (sorted) plus the per-block-
-/// coordinate byte deltas; rendering adds the delta and redoes the
-/// sector/line coalescing (the delta need not be sector-aligned).
+/// Why a warp could not be proven block-affine. Exported per launch as
+/// sim.dedup.bail.<bail_reason_name> (counted once per symbolized warp,
+/// i.e. when a trace key is first generated, not once per block).
+enum class BailReason : std::uint8_t {
+  kNone,
+  /// An unknown lane value (loaded data, or a non-affine result that does
+  /// not stem from the block coordinates) reaches a decision or address.
+  kPoisoned,
+  /// A branch, loop bound, divisor or shared-memory index varies with the
+  /// block (an affine value whose truth changes over the grid, or a value
+  /// derived from such a comparison).
+  kBlockDependent,
+  /// A global or shared access is not in bounds over the whole grid box.
+  kOutOfBounds,
+  /// The lanes of one site disagree on the per-block byte delta.
+  kNonUniformDelta,
+  /// The warp itself was proven, but another warp of a shared-memory
+  /// kernel bailed (see symbolize()).
+  kSharedInvalidated,
+  /// A deferred runtime error or a zero divisor: the VM raises it.
+  kError,
+};
+inline constexpr int kNumBailReasons = 7;
+
+/// Counter suffix for a reason ("poisoned", "block_dependent", ...).
+const char* bail_reason_name(BailReason r);
+
+/// Append-only address storage of one parametric warp trace. Addresses
+/// live in fixed-size chunks, so growth never copies what is stored, and
+/// shrink_to_fit() trims the last chunk to its used length. An append
+/// that does not fit the rest of the current chunk starts a new one, so
+/// every event's addresses are contiguous.
+class AddrStore {
+ public:
+  // 32 KB: below glibc's mmap threshold, so chunks come from the heap.
+  static constexpr std::uint64_t kChunk = std::uint64_t{1} << 12;  // addresses
+
+  /// Copies `n` addresses in and returns the offset of the first.
+  std::uint64_t append(const std::uint64_t* src, std::size_t n);
+  /// The addresses starting at `offset` (an append's result, n > 0).
+  const std::uint64_t* at(std::uint64_t offset) const {
+    return index_[offset / kChunk] + offset % kChunk;
+  }
+  void shrink_to_fit();
+
+ private:
+  std::vector<std::unique_ptr<std::uint64_t[]>> owned_;
+  std::vector<std::uint64_t*> index_;  // one entry per kChunk offsets
+  std::uint64_t size_ = 0;             // next free offset
+  std::uint64_t last_len_ = 0;         // allocated length of owned_.back()
+};
+
+/// One event of a block-parametric warp trace. kMem events hold the
+/// per-block-coordinate byte deltas and `lanes` byte addresses for block
+/// (0,0,0), sorted, at `addr` in the warp's AddrStore; rendering adds the
+/// delta and redoes the sector/line coalescing (the delta need not be
+/// sector-aligned).
 struct ParamEvent {
   EventKind kind = EventKind::kCompute;
-  std::uint32_t cycles = 0;                // kCompute
-  std::uint32_t lanes = 0;                 // lane work (see WarpTrace::lane_work)
-  std::int32_t slot = -1;                  // kMem: Program site slot
-  bool is_store = false;                   // kMem
-  std::int64_t dx = 0, dy = 0, dz = 0;     // kMem: byte delta per block coord
-  std::vector<std::uint64_t> base_addrs;   // kMem: sorted byte addrs at (0,0,0)
+  bool is_store = false;                // kMem
+  std::uint32_t cycles = 0;             // kCompute
+  std::uint32_t lanes = 0;              // lane work (see WarpTrace::lane_work)
+  std::int32_t slot = -1;               // kMem: Program site slot
+  std::uint64_t addr = 0;               // kMem: offset into ParamWarpTrace::addrs
+  std::int64_t dx = 0, dy = 0, dz = 0;  // kMem: byte delta per block coord
 };
 
 struct ParamWarpTrace {
   bool valid = false;  // false => render impossible, use the concrete VM
+  BailReason bail = BailReason::kNone;  // why, when !valid
   std::vector<ParamEvent> events;
+  AddrStore addrs;
   // Divergence counters are block-invariant for a provably-affine warp:
   // cond_mask() bails unless every branch decision is uniform over the
   // grid, so the mask history (and thus these counters and every event's
@@ -68,6 +130,8 @@ struct DedupEntry {
 class TraceDedup {
  public:
   DedupEntry& entry(std::uint64_t key) { return entries_[key]; }
+  /// Drops the entry (no-op when absent); its next use regenerates it.
+  void release(std::uint64_t key) { entries_.erase(key); }
 
  private:
   std::map<std::uint64_t, DedupEntry> entries_;
@@ -75,16 +139,18 @@ class TraceDedup {
 
 /// Attempts block-parametric symbolic execution of every warp of a block.
 /// Always returns one ParamWarpTrace per warp; a warp that cannot be
-/// proven block-affine comes back invalid. If the kernel uses shared
-/// memory and any warp fails, all warps are invalidated (warps read
+/// proven block-affine comes back invalid, with its BailReason. If the
+/// kernel uses shared memory and any warp fails, all warps are
+/// invalidated (warps read
 /// shared data written by earlier warps of the same block, so a concrete
-/// fallback warp would invalidate the symbolic shared state behind it).
+/// fallback warp would invalidate the symbolic shared state behind it);
+/// such warps report BailReason::kSharedInvalidated.
 std::vector<ParamWarpTrace> symbolize(const bc::Program& prog, const arch::LaunchConfig& launch);
 
 /// Renders one parametric warp trace for a concrete block. `table`
-/// resolves site slots to ids (already assigned by the generation block's
-/// concrete execution). Transactions land in `pool` (shared by the
-/// block's warps).
+/// resolves site slots to ids, assigning unseen ones in event order — the
+/// concrete VM's first-encounter order. Transactions land in `pool`
+/// (shared by the block's warps).
 WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
                  const arch::Dim3& block_idx, int line_bytes,
                  const std::shared_ptr<TxnPool>& pool);

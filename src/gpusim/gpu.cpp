@@ -252,6 +252,14 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     reg.add(reg.counter("sim.tracegen.render_cache_hits"), interp.render_cache_hits());
     reg.add(reg.counter("sim.tracegen.render_cache_bytes_saved"),
             interp.render_cache_bytes_saved());
+    // Dedup attribution: why symbolized warps fell back to the VM, and
+    // what symbolization cost (both zero when the launch reused traces).
+    reg.add(reg.counter("sim.dedup.symbolize_us"), interp.symbolize_us());
+    for (int r = 1; r < dedup::kNumBailReasons; ++r) {
+      const auto reason = static_cast<dedup::BailReason>(r);
+      reg.add(reg.counter(std::string("sim.dedup.bail.") + dedup::bail_reason_name(reason)),
+              interp.bails(reason));
+    }
     if (opts.sched.enabled()) {
       reg.add(reg.counter("sim.sched.vetoes"), stats.sched_vetoes);
       reg.add(reg.counter("sim.sched.victim_tag_hits"), stats.sched_victim_tag_hits);
@@ -298,10 +306,16 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " warps_executed=" + std::to_string(interp.warps_executed()) +
         " render_cache_hits=" + std::to_string(interp.render_cache_hits()) +
         " render_cache_bytes_saved=" + std::to_string(interp.render_cache_bytes_saved()) +
+        " symbolize_us=" + std::to_string(interp.symbolize_us()) +
         " sm_steps=" + std::to_string(stats.sm_steps) +
         " warps_scanned=" + std::to_string(stats.warps_scanned) +
         " warps_issued=" + std::to_string(stats.warp_insts) +
         " queue_pops=" + std::to_string(stats.queue_pops);
+    for (int r = 1; r < dedup::kNumBailReasons; ++r) {
+      const auto reason = static_cast<dedup::BailReason>(r);
+      line += std::string(" bail_") + dedup::bail_reason_name(reason) + "=" +
+              std::to_string(interp.bails(reason));
+    }
     if (overlapped) {
       line += " pipeline_wait_ms=" + std::to_string(pipeline_wait_ms) +
               " trace_workers=" + std::to_string(trace_workers_used);

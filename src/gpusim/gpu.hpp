@@ -171,6 +171,10 @@ class Gpu {
 
   const arch::GpuArch& gpu_arch() const { return arch_; }
 
+  /// Frees the dedup traces cached under SimOptions::trace_key `key`; a
+  /// later launch with that key regenerates them (bit-identically).
+  void release_traces(std::uint64_t key) { dedup_.release(key); }
+
  private:
   arch::GpuArch arch_;
   DeviceMemory& mem_;

@@ -1,5 +1,6 @@
 #include "gpusim/interp.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "common/error.hpp"
@@ -98,10 +99,33 @@ bool KernelInterp::parallel_renderable() const {
   return true;
 }
 
+namespace {
+
+/// True when some other block is sure to render warp `pt` exactly as this
+/// one does: every memory event's delta ignores a block axis along which
+/// the grid extends, so blocks differing only on that axis share a delta
+/// vector.
+bool delta_repeats(const dedup::ParamWarpTrace& pt, const arch::Dim3& grid) {
+  bool x = grid.x > 1;
+  bool y = grid.y > 1;
+  bool z = grid.z > 1;
+  for (const dedup::ParamEvent& pe : pt.events) {
+    if (pe.kind != EventKind::kMem) continue;
+    x = x && pe.dx == 0;
+    y = y && pe.dy == 0;
+    z = z && pe.dz == 0;
+  }
+  return x || y || z;
+}
+
+}  // namespace
+
 WarpTrace KernelInterp::render_warp(std::size_t w, const arch::Dim3& bid,
                                     const std::shared_ptr<TxnPool>& pool) {
   const dedup::ParamWarpTrace& pt = entry_->warps[w];
-  if (!render_cache_on_) {
+  // A cached trace stays alive (with its block's TxnPool) for the whole
+  // launch, so only warps whose delta vector can repeat are cached.
+  if (!render_cache_on_ || !cacheable_[w]) {
     return dedup::render(pt, *prog_, entry_->table, bid, line_bytes_, pool);
   }
 
@@ -157,14 +181,27 @@ std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
 
 std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear) {
   if (!entry_->generated) {
-    // First block under this key: execute it concretely (assigning site ids
-    // in first-encounter order), then derive the block-parametric traces.
-    // Symbolization never assigns ids — renders resolve slots against ids
-    // the concrete runs established.
-    std::vector<WarpTrace> out = run_block_vm(block_linear);
+    // First block under this key: derive the block-parametric traces, then
+    // produce this block like every later one. Renders and VM fallbacks
+    // both assign site ids as they meet sites, in warp order, so ids keep
+    // the concrete first-dynamic-encounter order.
+    const auto t0 = std::chrono::steady_clock::now();
     entry_->warps = dedup::symbolize(*prog_, launch_);
+    symbolize_us_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                                              t0)
+            .count());
+    for (const dedup::ParamWarpTrace& pt : entry_->warps) {
+      if (!pt.valid) ++bails_[static_cast<std::size_t>(pt.bail)];
+    }
     entry_->generated = true;
-    return out;
+  }
+  if (cacheable_.empty()) {
+    // Once per launch, before any trace worker starts (block 0 is always
+    // produced first, alone).
+    for (const dedup::ParamWarpTrace& pt : entry_->warps) {
+      cacheable_.push_back(pt.valid && delta_repeats(pt, launch_.grid));
+    }
   }
 
   const arch::Dim3 bid = arch::delinearize(block_linear, launch_.grid);

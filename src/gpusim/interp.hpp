@@ -6,9 +6,10 @@
 // program (bytecode.hpp) and warps run as a tight dispatch loop over
 // 32-wide lane vectors. Optionally, block-parametric trace dedup
 // (dedup.hpp) proves most warps' traces are affine translates across
-// blocks and renders them instead of re-executing. Both stages are
-// trace-exact: the original tree-walk implementation survives as
-// RefKernelInterp (ref_interp.hpp) and vm_test.cpp pins equality.
+// blocks and renders them — the first block included — instead of
+// executing them. Both stages are trace-exact: the original tree-walk
+// implementation survives as RefKernelInterp (ref_interp.hpp) and
+// vm_test.cpp pins equality.
 //
 // Modeling notes (documented limitations):
 //  * Warps of a block execute sequentially at trace-generation time, so
@@ -19,6 +20,7 @@
 //    have no inter-block data dependences within a launch.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -75,7 +77,7 @@ class KernelInterp {
   /// traces with no VM fallback — the condition under which run_block is
   /// safe to call from concurrent trace workers for distinct blocks:
   /// renders only read the program, the symbolic warps and the site table
-  /// (all ids were assigned by the generation block's concrete run; grid-
+  /// (all ids were assigned while the generation block was produced; grid-
   /// uniform control flow means no rendered warp can reference a site the
   /// generation block did not encounter). Any invalid warp means later
   /// blocks run the concrete VM, which assigns site ids in block order
@@ -86,6 +88,15 @@ class KernelInterp {
   /// trace workers bump them concurrently; totals are read after join.
   std::uint64_t warps_rendered() const { return rendered_.load(std::memory_order_relaxed); }
   std::uint64_t warps_executed() const { return executed_.load(std::memory_order_relaxed); }
+
+  /// Dedup attribution (sim.dedup.*): warps of this launch's symbolized
+  /// block that failed, by reason, and the time symbolization took. Zero
+  /// when the launch reused an entry generated earlier. Written by the
+  /// thread that produces block 0; read after trace generation joins.
+  std::uint64_t bails(dedup::BailReason r) const {
+    return bails_[static_cast<std::size_t>(r)];
+  }
+  std::uint64_t symbolize_us() const { return symbolize_us_; }
 
   /// Render-cache counters (sim.tracegen.* observability).
   std::uint64_t render_cache_hits() const {
@@ -123,6 +134,8 @@ class KernelInterp {
 
   std::atomic<std::uint64_t> rendered_{0};
   std::atomic<std::uint64_t> executed_{0};
+  std::array<std::uint64_t, dedup::kNumBailReasons> bails_{};
+  std::uint64_t symbolize_us_ = 0;
 
   /// Delta-keyed render cache. Warp w of block (bx,by,bz) renders a trace
   /// fully determined by the per-mem-event byte deltas dx*bx+dy*by+dz*bz
@@ -130,9 +143,13 @@ class KernelInterp {
   /// so blocks whose delta vectors coincide — every kernel that ignores
   /// one or more block coordinates in its addressing — share one
   /// immutable rendered trace. A hit is a map lookup plus a WarpTrace
-  /// refcount bump. Mutex-guarded: trace workers render concurrently; on
-  /// a racing miss both render (identical bytes) and first insert wins.
+  /// refcount bump. A cached trace pins its block's TxnPool for the
+  /// launch, so only warps whose addresses ignore a block axis the grid
+  /// spans are cached (cacheable_). Mutex-guarded: trace workers render
+  /// concurrently; on a racing miss both render (identical bytes) and
+  /// first insert wins.
   bool render_cache_on_ = true;
+  std::vector<bool> cacheable_;  // per warp; see delta_repeats in interp.cpp
   std::mutex cache_mu_;
   std::vector<std::map<std::vector<std::uint64_t>, WarpTrace>> render_cache_;
   std::atomic<std::uint64_t> cache_hits_{0};

@@ -90,8 +90,8 @@ void TracePipeline::leader_loop() {
   }
   std::vector<std::thread> extra;
   if (num_blocks_ > 0) {
-    // Block 0 first, serially: its concrete execution assigns the dedup
-    // site ids and symbolization derives the parametric warps — the only
+    // Block 0 first, serially: symbolization derives the parametric warps
+    // and producing the block assigns the dedup site ids — the only
     // order-sensitive generation work in the launch.
     {
       obs::Accum gen;

@@ -7,8 +7,8 @@
 //    feeding the dispatcher through a bounded in-order reorder buffer, so
 //    trace generation overlaps timing simulation instead of serializing
 //    with it. Block 0 is always produced serially by the leader — it is
-//    the launch's only order-sensitive generation step (concrete
-//    execution that assigns dedup site ids, then symbolization). After
+//    the launch's only order-sensitive generation step (symbolization,
+//    then the renders and VM runs that assign dedup site ids). After
 //    it, if every warp of a block renders from the block-parametric
 //    traces (KernelInterp::parallel_renderable), the remaining blocks are
 //    sharded across N trace workers: rendering only reads shared state,

@@ -173,8 +173,13 @@ RunOutput run_plan_cached(const arch::GpuArch& arch, const sim::SimOptions& sim_
   sim::DeviceMemory mem;
   w.setup(mem);
   sim::Gpu gpu(arch, mem);
+  // Plan index of each trace key's last use: its dedup traces are freed
+  // right after it, so the cache only ever holds keys still to come.
+  std::map<std::uint64_t, std::size_t> last_use;
+  for (std::size_t i = 0; i < plan.entries.size(); ++i) last_use[plan.entries[i].trace_key] = i;
   out.launches.reserve(plan.entries.size());
-  for (const auto& pe : plan.entries) {
+  for (std::size_t i = 0; i < plan.entries.size(); ++i) {
+    const PlanEntry& pe = plan.entries[i];
     sim::SimOptions entry_opts = sim_options;
     if (plan.all_pure) {
       // No kernel's trace depends on loaded values and nothing downstream
@@ -186,6 +191,7 @@ RunOutput run_plan_cached(const arch::GpuArch& arch, const sim::SimOptions& sim_
       entry_opts.trace_key = pe.trace_key;
     }
     sim::KernelStats agg = simulate_entry(gpu, pe, entry_opts);
+    if (last_use[pe.trace_key] == i) gpu.release_traces(pe.trace_key);
     service.publish(pe.key, agg);
     out.total_cycles += agg.cycles;
     out.launches.push_back(std::move(agg));

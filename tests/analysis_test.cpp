@@ -415,7 +415,9 @@ __global__ void irr(int *col, float *data, float *out, int N) {
   // The irregular stream contributes only its conservative count; the
   // regular col[] stream is still the dominant footprint.
   for (const auto& a : ka.loops[0].accesses) {
-    if (a.array == "data") EXPECT_TRUE(a.irregular);
+    if (a.array == "data") {
+      EXPECT_TRUE(a.irregular);
+    }
   }
 }
 

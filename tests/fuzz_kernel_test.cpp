@@ -621,7 +621,9 @@ TEST(FuzzKernel, DivergentDifferential) {
 
   // Generator sanity: the stage is about divergence, so a healthy fraction
   // of warps must actually have split somewhere.
-  if (count >= 50) EXPECT_GT(divergent_warps, count);
+  if (count >= 50) {
+    EXPECT_GT(divergent_warps, count);
+  }
 }
 
 }  // namespace

@@ -172,8 +172,8 @@ TEST(TimingEngine, RenderCacheHitsOnBlockInvariantKernel) {
     std::uint64_t bytes_saved = 0;
   };
   // Two launches on one Gpu (the dedup table is per-Gpu): launch 1
-  // generates from block 0 and renders blocks 1-5; launch 2 renders all
-  // six blocks. Counters are read cumulatively over both.
+  // symbolizes, then renders all six blocks; launch 2 renders all six
+  // from the cached entry. Counters are read cumulatively over both.
   auto run = [&](int trace_threads, bool render_cache) {
     Leg leg;
     obs::Registry registry;
@@ -205,26 +205,95 @@ TEST(TimingEngine, RenderCacheHitsOnBlockInvariantKernel) {
   EXPECT_EQ(base.hits, 0u);
   EXPECT_EQ(base.bytes_saved, 0u);
 
-  // Serial producer: deterministic hit counts. Launch 1: per warp id, one
-  // render misses and the other four blocks hit (8). Launch 2: per warp
-  // id, one miss then five hits (10).
+  // Serial producer: deterministic hit counts. Each launch renders all six
+  // blocks (block 0 included); per warp id, one render misses and the
+  // other five blocks hit (10 per launch).
   const Leg serial = run(1, true);
   expect_stats_equal(serial.first, base.first, "render-cache hit launch 1");
   expect_stats_equal(serial.second, base.second, "render-cache hit launch 2");
-  EXPECT_EQ(serial.hits, 18u);
+  EXPECT_EQ(serial.hits, 20u);
   EXPECT_GT(serial.bytes_saved, 0u);
 
   // Sharded workers race misses on the same key (first insert wins, the
   // losers' renders are discarded), so only a band is deterministic: with
   // 4 workers at most 4 in-flight misses per warp id, leaving at least
-  // one hit per warp in launch 1; launch 2's block 0 is rendered by the
-  // leader's serial pre-pass, so blocks 1-5 all hit.
+  // one hit per warp; in both launches block 0 is rendered by the leader's
+  // serial pre-pass, which seeds the cache before sharding begins.
   const Leg sharded = run(4, true);
   expect_stats_equal(sharded.first, base.first, "sharded render-cache launch 1");
   expect_stats_equal(sharded.second, base.second, "sharded render-cache launch 2");
   EXPECT_GE(sharded.hits, 12u);
-  EXPECT_LE(sharded.hits, 18u);
+  EXPECT_LE(sharded.hits, 20u);
   EXPECT_GT(sharded.bytes_saved, 0u);
+}
+
+// Dedup attribution through the obs registry: a launch that symbolizes
+// exports each failed warp under sim.dedup.bail.<reason> and its cost
+// under sim.dedup.symbolize_us; a launch that reuses the cached entry adds
+// no bails; after Gpu::release_traces the next launch symbolizes again.
+TEST(TimingEngine, DedupBailsReachTheRegistryAndReleaseRegenerates) {
+  const std::vector<ir::Kernel> kernels = frontend::parse_program(R"(
+__global__ void corr_like(float *data, float *symmat, int M, int N, int K) {
+    int j1 = blockIdx.x * blockDim.x + threadIdx.x;
+    if (j1 < M) {
+        for (int j2 = j1; j2 < j1 + K && j2 < M; j2++) {
+            float acc = 0.0f;
+            for (int i = 0; i < N; i++) {
+                acc += data[i * M + j1] * data[i * M + j2];
+            }
+            symmat[j1 * M + j2] = acc;
+        }
+    }
+}
+)");
+  const arch::LaunchConfig launch{arch::Dim3{2}, arch::Dim3{128}};
+  const expr::ParamEnv params{{"M", 256}, {"N", 2}, {"K", 64}};
+  // Reference: the same three launches with dedup off (the L2 persists
+  // across launches, so each launch is compared with its own position).
+  SimOptions plain;
+  plain.skip_functional = true;
+  plain.sim_threads = 1;
+  plain.trace_threads = 1;
+  DeviceMemory ref_mem;
+  ref_mem.alloc_f32("data", 512, 1.0f);
+  ref_mem.alloc_f32("symmat", 256 * 256, 0.0f);
+  Gpu ref_gpu(arch::GpuArch::titan_v(2), ref_mem);
+  const LaunchSpec spec{&kernels[0], launch, params};
+  std::vector<KernelStats> ref;
+  for (int i = 0; i < 3; ++i) ref.push_back(ref_gpu.run(spec, plain));
+
+  obs::Registry registry;
+  obs::SimObs so;
+  so.metrics_interval = 1 << 30;  // activates obs, no samples
+  so.registry = &registry;
+  SimOptions o = plain;
+  o.trace_key = 0xC022;
+  o.obs = &so;
+  DeviceMemory mem;
+  mem.alloc_f32("data", 512, 1.0f);
+  mem.alloc_f32("symmat", 256 * 256, 0.0f);
+  Gpu gpu(arch::GpuArch::titan_v(2), mem);
+
+  auto counter = [&](const char* name) { return registry.scrape().counter_or(name); };
+  expect_stats_equal(gpu.run(spec, o), ref[0], "generating launch");
+  // Warps 2 and 3 of each block bail on the block-dependent `j2 < M`.
+  EXPECT_EQ(counter("sim.dedup.bail.block_dependent"), 2u);
+  EXPECT_EQ(counter("sim.tracegen.warps_executed"), 4u);
+  EXPECT_EQ(counter("sim.tracegen.warps_rendered"), 4u);
+  for (const char* other : {"sim.dedup.bail.poisoned", "sim.dedup.bail.out_of_bounds",
+                            "sim.dedup.bail.nonuniform_delta", "sim.dedup.bail.shared_invalidated",
+                            "sim.dedup.bail.error"}) {
+    EXPECT_EQ(counter(other), 0u) << other;
+  }
+
+  expect_stats_equal(gpu.run(spec, o), ref[1], "reused dedup entry");
+  EXPECT_EQ(counter("sim.dedup.bail.block_dependent"), 2u);
+  EXPECT_EQ(counter("sim.tracegen.warps_executed"), 8u);
+
+  gpu.release_traces(o.trace_key);
+  expect_stats_equal(gpu.run(spec, o), ref[2], "regenerated dedup entry");
+  EXPECT_EQ(counter("sim.dedup.bail.block_dependent"), 4u);
+  EXPECT_EQ(counter("sim.tracegen.warps_executed"), 12u);
 }
 
 // The scheduler-policy seam's identity pin: an explicit `--sched=none`

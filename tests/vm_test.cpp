@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "frontend/parser.hpp"
 #include "gpusim/bytecode.hpp"
 #include "gpusim/dedup.hpp"
 #include "gpusim/interp.hpp"
@@ -84,8 +85,8 @@ TEST(VmGolden, AllWorkloadKernelsTraceIdentical) {
 }
 
 // Dedup bit-identity on a pure multi-block kernel: rendered traces must
-// equal both the reference interpreter's and a VM-only interp's output for
-// every block, and a second launch under the same key must re-render from
+// equal the reference interpreter's output for every block (block 0
+// included), and a second launch under the same key must re-render from
 // the cached entry.
 TEST(VmDedup, RenderedTracesBitIdenticalAcrossLaunches) {
   const wl::Workload w = wl::make_atax(2);
@@ -113,15 +114,132 @@ TEST(VmDedup, RenderedTracesBitIdenticalAcrossLaunches) {
     }
     expect_sites_equal(ref.sites(), vm.sites(), label);
     EXPECT_GT(vm.warps_rendered(), 0u) << label;
-    if (launch == 0) {
-      // Generation pass: exactly one block executed concretely.
-      EXPECT_EQ(vm.warps_executed(), static_cast<std::uint64_t>(vm.warps_per_block())) << label;
-    } else {
-      // Cache hit across launches: no concrete execution at all.
-      EXPECT_EQ(vm.warps_executed(), 0u) << label;
-      EXPECT_EQ(vm.warps_rendered(),
-                run.launch.num_blocks() * static_cast<std::uint64_t>(vm.warps_per_block()))
-          << label;
+    // Every warp is provably affine, so no warp runs on the VM: the first
+    // launch renders its generation block too, and the second re-renders
+    // from the cached entry.
+    EXPECT_EQ(vm.warps_executed(), 0u) << label;
+    EXPECT_EQ(vm.warps_rendered(),
+              run.launch.num_blocks() * static_cast<std::uint64_t>(vm.warps_per_block()))
+        << label;
+  }
+}
+
+// CORR's shape on a 2-block grid: the bound `j2 < j1 + K && j2 < M`
+// compares j2 (affine in blockIdx.x) against M, and for the upper warps of
+// each block that comparison flips between the two blocks before the loop
+// ends. Those warps must bail as block-dependent and run on the VM in
+// every block (block 0 included); the others render. Traces and the site
+// table must match the reference interpreter either way.
+TEST(VmDedup, CorrShapedKernelRendersProvenWarpsAndExecutesBailingOnes) {
+  const std::vector<ir::Kernel> kernels = frontend::parse_program(R"(
+__global__ void corr_like(float *data, float *symmat, int M, int N, int K) {
+    int j1 = blockIdx.x * blockDim.x + threadIdx.x;
+    if (j1 < M) {
+        for (int j2 = j1; j2 < j1 + K && j2 < M; j2++) {
+            float acc = 0.0f;
+            for (int i = 0; i < N; i++) {
+                acc += data[i * M + j1] * data[i * M + j2];
+            }
+            symmat[j1 * M + j2] = acc;
+        }
+    }
+}
+)");
+  const ir::Kernel& k = kernels.front();
+  ASSERT_TRUE(bc::trace_data_independent(k));
+  constexpr int kM = 256;
+  constexpr int kN = 2;
+  const arch::LaunchConfig launch{arch::Dim3{2}, arch::Dim3{128}};
+  const expr::ParamEnv params{{"M", kM}, {"N", kN}, {"K", 64}};
+  DeviceMemory mem_ref;
+  DeviceMemory mem_vm;
+  for (DeviceMemory* mem : {&mem_ref, &mem_vm}) {
+    mem->alloc_f32("data", static_cast<std::size_t>(kM) * kN, 1.0f);
+    mem->alloc_f32("symmat", static_cast<std::size_t>(kM) * kM, 0.0f);
+  }
+
+  dedup::TraceDedup cache;
+  const std::uint64_t key = 0xC022;
+  RefKernelInterp ref(k, launch, params, mem_ref, kLineBytes);
+  KernelInterp vm(k, launch, params, mem_vm, kLineBytes);
+  vm.set_functional(false);
+  vm.enable_dedup(cache, key);
+  ASSERT_EQ(vm.warps_per_block(), 4);
+
+  // Lane j1 (block-local) meets `j2 < M` with a block-dependent answer once
+  // j1 + k >= 128 for some k < K = 64: warps 2 and 3 (j1 >= 65) bail.
+  for (std::uint64_t b = 0; b < launch.num_blocks(); ++b) {
+    expect_traces_equal(ref.run_block(b), vm.run_block(b), "corr_like block " + std::to_string(b));
+    EXPECT_EQ(vm.warps_executed(), 2 * (b + 1)) << "block " << b;
+    EXPECT_EQ(vm.warps_rendered(), 2 * (b + 1)) << "block " << b;
+  }
+  expect_sites_equal(ref.sites(), vm.sites(), "corr_like");
+
+  const dedup::DedupEntry& entry = cache.entry(key);
+  ASSERT_EQ(entry.warps.size(), 4u);
+  for (std::size_t w = 0; w < entry.warps.size(); ++w) {
+    const bool bails = w >= 2;
+    EXPECT_EQ(entry.warps[w].valid, !bails) << "warp " << w;
+    EXPECT_EQ(entry.warps[w].bail,
+              bails ? dedup::BailReason::kBlockDependent : dedup::BailReason::kNone)
+        << "warp " << w;
+  }
+  for (int r = 1; r < dedup::kNumBailReasons; ++r) {
+    const auto reason = static_cast<dedup::BailReason>(r);
+    EXPECT_EQ(vm.bails(reason), reason == dedup::BailReason::kBlockDependent ? 2u : 0u)
+        << dedup::bail_reason_name(reason);
+  }
+}
+
+// Each bail site reports its own reason. One single-warp kernel per
+// reason, on a 2-block grid; block 0 is always in bounds, so the VM
+// fallback runs cleanly and must still match the reference.
+TEST(VmDedup, BailReasonsNameTheFailedProof) {
+  struct Case {
+    const char* src;
+    dedup::BailReason reason;
+  };
+  const Case cases[] = {
+      // Block 1 reads past the end of `a`: not in bounds over the grid.
+      {R"(__global__ void k(float *a, float *b) {
+             b[threadIdx.x] = a[blockIdx.x * 64 + threadIdx.x];
+           })",
+       dedup::BailReason::kOutOfBounds},
+      // Each lane's address moves by a different amount per block.
+      {R"(__global__ void k(float *a, float *b) {
+             b[threadIdx.x] = a[blockIdx.x * threadIdx.x];
+           })",
+       dedup::BailReason::kNonUniformDelta},
+      // The branch is taken in block 0 only.
+      {R"(__global__ void k(float *a, float *b) {
+             if (blockIdx.x == 0) { b[threadIdx.x] = a[threadIdx.x]; }
+           })",
+       dedup::BailReason::kBlockDependent},
+  };
+  const arch::LaunchConfig launch{arch::Dim3{2}, arch::Dim3{32}};
+  for (const Case& c : cases) {
+    const std::vector<ir::Kernel> kernels = frontend::parse_program(c.src);
+    const ir::Kernel& k = kernels.front();
+    const std::string label = dedup::bail_reason_name(c.reason);
+    ASSERT_TRUE(bc::trace_data_independent(k)) << label;
+    DeviceMemory mem_ref;
+    DeviceMemory mem_vm;
+    for (DeviceMemory* mem : {&mem_ref, &mem_vm}) {
+      mem->alloc_f32("a", 64, 1.0f);
+      mem->alloc_f32("b", 64, 0.0f);
+    }
+    dedup::TraceDedup cache;
+    RefKernelInterp ref(k, launch, {}, mem_ref, kLineBytes);
+    KernelInterp vm(k, launch, {}, mem_vm, kLineBytes);
+    vm.set_functional(false);
+    vm.enable_dedup(cache, 1);
+    expect_traces_equal(ref.run_block(0), vm.run_block(0), label);
+    expect_sites_equal(ref.sites(), vm.sites(), label);
+    EXPECT_EQ(vm.warps_executed(), 1u) << label;
+    for (int r = 1; r < dedup::kNumBailReasons; ++r) {
+      const auto reason = static_cast<dedup::BailReason>(r);
+      EXPECT_EQ(vm.bails(reason), reason == c.reason ? 1u : 0u)
+          << label << ": " << dedup::bail_reason_name(reason);
     }
   }
 }
