@@ -34,8 +34,6 @@ int main(int argc, char** argv) {
 
   CsvWriter csv({"app", "launch", "instr_index", "mean_requests"});
   const sim::sched::PolicyConfig sched = bench::sched_from_args(argc, argv);
-  const int sim_threads = bench::sim_threads_from_args(argc, argv);
-  const int trace_threads = bench::trace_threads_from_args(argc, argv);
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
     sim::DeviceMemory mem;
@@ -48,8 +46,6 @@ int main(int argc, char** argv) {
       sim::SimOptions opts;
       opts.collect_request_trace = true;
       opts.sched = sched;
-      opts.sim_threads = sim_threads;
-      opts.trace_threads = trace_threads;
       sim::LaunchSpec spec{&w->kernel(entry.kernel), entry.launch, entry.params};
       for (int r = 0; r < entry.repeats; ++r) {
         const sim::KernelStats s = gpu.run(spec, opts);

@@ -15,8 +15,6 @@ int main(int argc, char** argv) {
 
   throttle::Runner runner(bench::max_l1d_arch());
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
-  runner.sim_options.sim_threads = bench::sim_threads_from_args(argc, argv);
-  runner.sim_options.trace_threads = bench::trace_threads_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
   bench::AutoRunner auto_runner(runner);

@@ -20,8 +20,7 @@ namespace {
 /// why this bench never attaches the --cache= disk tier.
 std::vector<catt::obs::LaunchSeries> run_sampled(const catt::wl::Workload& w,
                                                  const catt::throttle::Policy& policy,
-                                                 std::int64_t interval, int sim_threads,
-                                                 int trace_threads,
+                                                 std::int64_t interval,
                                                  catt::throttle::AppResult& result) {
   using namespace catt;
   std::vector<obs::LaunchSeries> collected;
@@ -35,8 +34,6 @@ std::vector<catt::obs::LaunchSeries> run_sampled(const catt::wl::Workload& w,
   so.on_series = [&](const obs::LaunchSeries& s) { collected.push_back(s); };
 
   throttle::Runner runner(bench::max_l1d_arch());
-  runner.sim_options.sim_threads = sim_threads;
-  runner.sim_options.trace_threads = trace_threads;
   runner.sim_options.obs = &so;
   result = runner.run(w, policy);
   return collected;
@@ -74,10 +71,8 @@ int main(int argc, char** argv) {
   const wl::Workload& w = wl::find_workload("atax", bench::kNumSms);
 
   throttle::AppResult base_res, catt_res;
-  const int sim_threads = bench::sim_threads_from_args(argc, argv);
-  const int trace_threads = bench::trace_threads_from_args(argc, argv);
-  const auto base_series = run_sampled(w, throttle::Baseline{}, interval, sim_threads, trace_threads, base_res);
-  const auto catt_series = run_sampled(w, throttle::Catt{}, interval, sim_threads, trace_threads, catt_res);
+  const auto base_series = run_sampled(w, throttle::Baseline{}, interval, base_res);
+  const auto catt_series = run_sampled(w, throttle::Catt{}, interval, catt_res);
 
   std::printf("phase timeline: %s, interval=%lld cycles (L1D hit rate; ' '=0 .. '@'=1)\n\n",
               w.name.c_str(), static_cast<long long>(interval));

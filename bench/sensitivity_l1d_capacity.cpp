@@ -30,8 +30,6 @@ int main(int argc, char** argv) {
                      std::size_t cap_kib) {
     throttle::Runner runner(gpu_arch);
     runner.sim_options.sched = bench::sched_from_args(argc, argv);
-    runner.sim_options.sim_threads = bench::sim_threads_from_args(argc, argv);
-    runner.sim_options.trace_threads = bench::trace_threads_from_args(argc, argv);
     runner.set_disk_cache(disk_cache.get());
     std::vector<double> speedups;
     auto& r = table.row().cell(label);

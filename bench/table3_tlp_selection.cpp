@@ -31,10 +31,6 @@ int main(int argc, char** argv) {
   throttle::Runner rmax(bench::max_l1d_arch());
   r32.sim_options.sched = bench::sched_from_args(argc, argv);
   rmax.sim_options.sched = r32.sim_options.sched;
-  r32.sim_options.sim_threads = bench::sim_threads_from_args(argc, argv);
-  rmax.sim_options.sim_threads = r32.sim_options.sim_threads;
-  r32.sim_options.trace_threads = bench::trace_threads_from_args(argc, argv);
-  rmax.sim_options.trace_threads = r32.sim_options.trace_threads;
   const auto disk_cache = bench::cache_from_args(argc, argv);
   r32.set_disk_cache(disk_cache.get());
   rmax.set_disk_cache(disk_cache.get());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "gpusim/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace catt::exec {
@@ -69,22 +68,12 @@ void Pool::worker_loop() {
 }
 
 int Pool::default_jobs() {
-  int jobs = 0;
   if (const char* env = std::getenv("CATT_JOBS")) {
     const int n = std::atoi(env);
-    if (n > 0) jobs = n;
+    if (n > 0) return n;
   }
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw > 0 ? static_cast<int>(hw) : 1;
-  }
-  // The parallelism layers multiply: each pool job may itself run a
-  // sim_threads-wide timing loop feeding from trace_threads interpreter
-  // workers, so the job count shares the same core budget rather than
-  // oversubscribing jobs x sim x trace workers.
-  const int sim = std::max(1, sim::resolve_sim_threads(0));
-  const int tracegen = std::max(1, sim::resolve_trace_threads(0));
-  return std::max(1, jobs / (sim * tracegen));
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 Pool& Pool::shared() {

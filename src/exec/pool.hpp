@@ -33,9 +33,7 @@ class Pool {
   int size() const { return static_cast<int>(workers_.size()); }
 
   /// Worker count used when none is given: the CATT_JOBS environment
-  /// variable if set to a positive integer, else hardware_concurrency —
-  /// divided by the per-launch sim-thread width (CATT_SIM_THREADS) so
-  /// the two layers share one core budget instead of multiplying.
+  /// variable if set to a positive integer, else hardware_concurrency.
   static int default_jobs();
 
   /// Process-wide pool shared by all Runners that are not handed one.

@@ -99,32 +99,7 @@ std::uint64_t Cache::insert(std::uint64_t line_addr, std::int64_t ready_at,
   return fill_victim(line_addr, ready_at, hint.set);
 }
 
-Cache::InsertSlot Cache::insert_where(std::uint64_t line_addr, std::int64_t ready_at,
-                                      const SetHint& hint) {
-  InsertSlot slot;
-  if (num_sets_ == 0) return slot;
-  // Callers hold a probe-miss hint, so absence is established; hint.set
-  // can only be -1 for a disabled cache, which returned above.
-  const int set = hint.set >= 0 ? hint.set : set_of(line_addr);
-  slot.set = set;
-  int way = -1;
-  slot.victim = fill_victim(line_addr, ready_at, set, &way);
-  slot.way = way;
-  return slot;
-}
-
-void Cache::set_ready_if(std::int32_t set, std::int32_t way, std::uint64_t line_addr,
-                         std::int64_t ready_at) {
-  if (set < 0 || way < 0) return;
-  const std::size_t idx =
-      static_cast<std::size_t>(set) * static_cast<std::size_t>(assoc_) +
-      static_cast<std::size_t>(way);
-  if (tags_[idx] != tag_of(line_addr)) return;
-  meta_[idx].ready_at = ready_at;
-}
-
-std::uint64_t Cache::fill_victim(std::uint64_t line_addr, std::int64_t ready_at, int set,
-                                 int* way_out) {
+std::uint64_t Cache::fill_victim(std::uint64_t line_addr, std::int64_t ready_at, int set) {
   const std::size_t base = static_cast<std::size_t>(set) * static_cast<std::size_t>(assoc_);
   std::uint32_t* tags = tags_.data() + base;
   int victim = -1;
@@ -156,7 +131,6 @@ std::uint64_t Cache::fill_victim(std::uint64_t line_addr, std::int64_t ready_at,
   WayMeta& m = meta_[base + static_cast<std::size_t>(victim)];
   m.ready_at = ready_at;
   if (repl_ == Replacement::kLru) m.lru = ++lru_clock_;
-  if (way_out != nullptr) *way_out = victim;
   return displaced == kInvalidTag ? kNoVictim : static_cast<std::uint64_t>(displaced);
 }
 

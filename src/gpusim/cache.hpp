@@ -117,30 +117,6 @@ class Cache {
   /// and skips the already-present scan the probe just performed.
   std::uint64_t insert(std::uint64_t line_addr, std::int64_t ready_at, const SetHint& hint);
 
-  /// Where an insert placed the line, for engines that must patch the
-  /// fill time after the fact: the parallel engine inserts misses with a
-  /// pending sentinel ready_at and resolves the real fill cycle only
-  /// after its deterministic cross-SM merge.
-  struct InsertSlot {
-    std::uint64_t victim = kNoVictim;
-    std::int32_t set = -1;
-    std::int32_t way = -1;
-  };
-
-  /// insert(line, ready_at, hint) that also reports the (set, way) the
-  /// line landed in. Callers hold a probe-miss hint, so this goes
-  /// straight to victim fill like the hinted insert().
-  InsertSlot insert_where(std::uint64_t line_addr, std::int64_t ready_at,
-                          const SetHint& hint);
-
-  /// Patches the fill-ready cycle of (set, way) — but only if that way
-  /// still holds `line_addr`: it may have been evicted (and even refilled
-  /// with another line) by later inserts since the slot was recorded.
-  /// Patch slots in insertion order and last-write-wins reproduces the
-  /// serial fill times exactly.
-  void set_ready_if(std::int32_t set, std::int32_t way, std::uint64_t line_addr,
-                    std::int64_t ready_at);
-
   /// Write-through, no-allocate store: updates stats and refreshes LRU if
   /// the line is present. Returns true if the line was present.
   bool note_store(std::uint64_t line_addr);
@@ -231,8 +207,7 @@ class Cache {
 
   /// Way index of `line_addr` in `set`, or -1 when absent.
   int find_in_set(std::uint64_t line_addr, int set) const;
-  std::uint64_t fill_victim(std::uint64_t line_addr, std::int64_t ready_at, int set,
-                            int* way_out = nullptr);
+  std::uint64_t fill_victim(std::uint64_t line_addr, std::int64_t ready_at, int set);
 
   std::size_t capacity_;
   int line_bytes_;

@@ -1185,8 +1185,8 @@ WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTabl
   WarpTrace t(pool);
   t.reserve(pt.events.size());
   const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
-  // Per-thread scratch for the translated sectors: render runs on every
-  // trace worker concurrently, and steady state allocates nothing.
+  // Per-thread scratch for the translated sectors: sweep jobs render on
+  // pool threads concurrently, and steady state allocates nothing.
   thread_local std::vector<std::uint64_t> sectors;
   for (const ParamEvent& pe : pt.events) {
     switch (pe.kind) {

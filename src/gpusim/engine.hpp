@@ -1,8 +1,7 @@
-// Internal timing-engine building blocks shared by the serial loops in
-// gpu.cpp, the parallel engine (parallel.hpp), and engine-level tests:
-// the trace source abstraction, the round-robin TB dispatcher, the
-// interval sampler, and the serial event/stepped loops. Not part of the
-// public simulator surface — include gpu.hpp for that.
+// Internal timing-engine building blocks of gpu.cpp: the trace source,
+// the round-robin TB dispatcher, the interval sampler, and the
+// event/stepped loops. Not part of the public simulator surface —
+// include gpu.hpp for that.
 #pragma once
 
 #include <algorithm>
@@ -21,26 +20,17 @@
 
 namespace catt::sim {
 
-/// Source of per-block warp traces for TB admission: the functional
-/// interpreter (serial path), the trace pipeline (parallel path), or a
-/// canned fixture (tests). Blocks MUST be requested in ascending linear
-/// order — functional memory effects and dedup site-id assignment are
-/// order-dependent, and the pipeline produces in that order. One virtual
-/// call per admitted thread block (noise next to running the block).
-class BlockSource {
- public:
-  virtual ~BlockSource() = default;
-  virtual std::vector<WarpTrace> run_block(std::uint64_t block_linear) = 0;
-};
-
-/// Serial adapter: runs the interpreter inline, attributing the time to
-/// the launch's trace-generation accumulator.
-class InterpSource final : public BlockSource {
+/// Source of per-block warp traces for TB admission: runs the
+/// interpreter inline, attributing the time to the launch's
+/// trace-generation accumulator. Blocks MUST be requested in ascending
+/// linear order — functional memory effects and dedup site-id assignment
+/// are order-dependent.
+class InterpSource {
  public:
   InterpSource(KernelInterp& interp, obs::Accum& trace_gen)
       : interp_(interp), trace_gen_(trace_gen) {}
 
-  std::vector<WarpTrace> run_block(std::uint64_t block_linear) override {
+  std::vector<WarpTrace> run_block(std::uint64_t block_linear) {
     trace_gen_.start();
     std::vector<WarpTrace> traces = interp_.run_block(block_linear);
     trace_gen_.stop();
@@ -53,13 +43,13 @@ class InterpSource final : public BlockSource {
 };
 
 /// Dispatch: fill SMs round-robin; refill whichever SM frees a slot.
-/// Shared verbatim by all engines — TB admission order is observable
+/// Shared verbatim by both engines — TB admission order is observable
 /// through the functional interpreter's memory effects, so it must not
 /// depend on the engine.
 template <typename SmT, typename OnAdmit>
 class Dispatcher {
  public:
-  Dispatcher(std::vector<SmT>& sms, BlockSource& source, std::uint64_t num_blocks,
+  Dispatcher(std::vector<SmT>& sms, InterpSource& source, std::uint64_t num_blocks,
              const obs::SimTraceCtx* trace, OnAdmit on_admit)
       : sms_(sms), source_(source), num_blocks_(num_blocks), trace_(trace),
         on_admit_(on_admit) {}
@@ -89,7 +79,7 @@ class Dispatcher {
 
  private:
   std::vector<SmT>& sms_;
-  BlockSource& source_;
+  InterpSource& source_;
   std::uint64_t num_blocks_;
   std::uint64_t next_block_ = 0;
   const obs::SimTraceCtx* trace_;
@@ -106,9 +96,7 @@ class Dispatcher {
 /// though simulated time jumps between calendar pops: all state is
 /// constant on the open interval between consecutive event times, so a
 /// boundary b is sampled when the first event time beyond it is popped
-/// (every event at cycles <= b has then been applied, none later). The
-/// parallel engine preserves this by clipping its windows at
-/// next_boundary() + 1 and advancing only at window starts.
+/// (every event at cycles <= b has then been applied, none later).
 class IntervalSampler {
  public:
   IntervalSampler(const obs::SimObs& ob, const std::vector<Sm>& sms,
@@ -125,9 +113,6 @@ class IntervalSampler {
       next_ += series_.interval;
     }
   }
-
-  /// The next unsampled boundary (the parallel engine's window clip).
-  std::int64_t next_boundary() const { return next_; }
 
   /// Samples remaining boundaries plus a final sample at `end`, so the
   /// last cumulative row always equals the launch's KernelStats; then
@@ -185,7 +170,7 @@ class IntervalSampler {
 ///  * same-cycle SM steps run in ascending index order (pop_due sorts),
 ///    matching the reference's 0..N-1 sweep — observable through the
 ///    shared MemorySystem bandwidth cursors.
-inline std::int64_t run_event_loop(std::vector<Sm>& sms, BlockSource& source,
+inline std::int64_t run_event_loop(std::vector<Sm>& sms, InterpSource& source,
                                    const LaunchSpec& spec, std::uint64_t num_blocks,
                                    const obs::SimTraceCtx* trace,
                                    IntervalSampler* sampler) {
@@ -221,7 +206,7 @@ inline std::int64_t run_event_loop(std::vector<Sm>& sms, BlockSource& source,
 /// The retained cycle-stepped loop (SimOptions::use_stepped_reference):
 /// advances the clock cycle by cycle, scanning every SM whose cached
 /// wake-up is due.
-inline std::int64_t run_stepped_loop(std::vector<SmRef>& sms, BlockSource& source,
+inline std::int64_t run_stepped_loop(std::vector<SmRef>& sms, InterpSource& source,
                                      const LaunchSpec& spec, std::uint64_t num_blocks,
                                      const obs::SimTraceCtx* trace) {
   // Per-SM wake-up cache: an SM that issued nothing cannot issue again

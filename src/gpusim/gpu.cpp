@@ -1,7 +1,6 @@
 #include "gpusim/gpu.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -10,7 +9,6 @@
 #include "common/profile.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/interp.hpp"
-#include "gpusim/parallel.hpp"
 #include "gpusim/sm.hpp"
 #include "gpusim/sm_ref.hpp"
 #include "obs/obs.hpp"
@@ -110,13 +108,6 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     interp.set_functional(false);
     if (opts.trace_key != 0) interp.enable_dedup(dedup_, opts.trace_key);
   }
-  // CATT_RENDER_CACHE=0 force-disables the delta-keyed render cache (the
-  // perf-smoke A/B knob); the SimOptions field is the programmatic switch.
-  bool render_cache = opts.render_cache;
-  if (const char* env = std::getenv("CATT_RENDER_CACHE"); env != nullptr && *env == '0') {
-    render_cache = false;
-  }
-  interp.set_render_cache(render_cache);
 
   // Observability: resolved once per launch; null means every hook below
   // is skipped (and in CATT_OBS=OFF builds the compiler deletes them).
@@ -157,18 +148,10 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     for (int i = 0; i < arch_.num_sms; ++i) policies.push_back(sched::make_policy(opts.sched));
   }
 
-  // < 0 while the serial interpreter path is used; overwritten with the
-  // producer-side wall time when the trace pipeline ran (trace generation
-  // then overlaps timing, so the CATT_PROFILE split is reported
-  // differently below).
-  double pipeline_gen_ms = -1.0;
-  double pipeline_wait_ms = 0.0;
-  int trace_workers_used = 1;
-
+  InterpSource source(interp, trace_gen);
   if (opts.use_stepped_reference) {
     std::vector<SmRef> sms = make_sms<SmRef>(arch_, memsys_, occ, opts.collect_request_trace,
                                              series, trace, policies);
-    InterpSource source(interp, trace_gen);
     stats.cycles = run_stepped_loop(sms, source, spec, num_blocks, trace);
     aggregate_sm_stats(stats, sms);
   } else {
@@ -184,35 +167,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
           std::make_unique<IntervalSampler>(*ob, sms, memsys_, spec.kernel->name);
       sampler = sampler_storage.get();
     }
-    const int threads = resolve_sim_threads(opts.sim_threads);
-    const int trace_threads = resolve_trace_threads(opts.trace_threads);
-    // Fine-grained tracing records per-issue events from inside SM steps;
-    // those assume a single timeline, so it pins the serial engine.
-    const bool fine_trace = trace != nullptr && trace->fine();
-    if ((threads > 1 || trace_threads > 1) && !fine_trace) {
-      // Trace generation moves to producer threads even when the launch
-      // is too small for multi-SM partitioning (workers == 1): pipeline
-      // overlap is profitable on its own. Queue depth scales with the
-      // trace-worker count so sharded producers have room to run ahead.
-      obs::Registry* reg = ob != nullptr ? &ob->registry_or_global() : nullptr;
-      const std::size_t depth = std::max<std::size_t>(
-          {2, 2 * sms.size(), 2 * static_cast<std::size_t>(trace_threads)});
-      TracePipeline pipeline(interp, num_blocks, depth, trace_threads, reg, ob);
-      const int workers = std::min<int>(threads, static_cast<int>(sms.size()));
-      if (workers > 1) {
-        stats.cycles = run_parallel_loop(sms, pipeline, spec, num_blocks, memsys_, arch_,
-                                         workers, trace, sampler, ob);
-      } else {
-        stats.cycles = run_event_loop(sms, pipeline, spec, num_blocks, trace, sampler);
-      }
-      pipeline.finish();
-      pipeline_gen_ms = pipeline.gen_ms();
-      pipeline_wait_ms = pipeline.wait_ms();
-      trace_workers_used = pipeline.workers_used();
-    } else {
-      InterpSource source(interp, trace_gen);
-      stats.cycles = run_event_loop(sms, source, spec, num_blocks, trace, sampler);
-    }
+    stats.cycles = run_event_loop(sms, source, spec, num_blocks, trace, sampler);
     if (sampler != nullptr) sampler->finish(stats.cycles);
     aggregate_sm_stats(stats, sms);
   }
@@ -243,15 +198,9 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     reg.add(reg.counter("sim.warps_issued"), stats.warp_insts);
     reg.add(reg.counter("sim.queue_pops"), stats.queue_pops);
     // Trace-generation attribution: how blocks were produced (rendered
-    // vs concretely executed warps), what the render cache saved, and
-    // the sharding width the pipeline actually used.
-    reg.set(reg.gauge("sim.tracegen.workers"),
-            static_cast<std::uint64_t>(trace_workers_used));
+    // vs concretely executed warps).
     reg.add(reg.counter("sim.tracegen.warps_rendered"), interp.warps_rendered());
     reg.add(reg.counter("sim.tracegen.warps_executed"), interp.warps_executed());
-    reg.add(reg.counter("sim.tracegen.render_cache_hits"), interp.render_cache_hits());
-    reg.add(reg.counter("sim.tracegen.render_cache_bytes_saved"),
-            interp.render_cache_bytes_saved());
     // Dedup attribution: why symbolized warps fell back to the VM, and
     // what symbolization cost (both zero when the launch reused traces).
     reg.add(reg.counter("sim.dedup.symbolize_us"), interp.symbolize_us());
@@ -290,12 +239,8 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
 
   if (prof::enabled()) {
     const double total_ms = total.ms();
-    const bool overlapped = pipeline_gen_ms >= 0.0;
-    const double gen_ms = overlapped ? pipeline_gen_ms : trace_gen.ms();
-    // With the pipeline, generation runs concurrently with timing, so the
-    // whole wall time is timing; the consumer's stall time is what the
-    // overlap failed to hide.
-    const double timing_ms = overlapped ? total_ms : total_ms - gen_ms;
+    const double gen_ms = trace_gen.ms();
+    const double timing_ms = total_ms - gen_ms;
     std::string line =
         "kernel=" + spec.kernel->name + " blocks=" + std::to_string(num_blocks) +
         " cycles=" + std::to_string(stats.cycles) +
@@ -304,8 +249,6 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " total_ms=" + std::to_string(total_ms) +
         " warps_rendered=" + std::to_string(interp.warps_rendered()) +
         " warps_executed=" + std::to_string(interp.warps_executed()) +
-        " render_cache_hits=" + std::to_string(interp.render_cache_hits()) +
-        " render_cache_bytes_saved=" + std::to_string(interp.render_cache_bytes_saved()) +
         " symbolize_us=" + std::to_string(interp.symbolize_us()) +
         " sm_steps=" + std::to_string(stats.sm_steps) +
         " warps_scanned=" + std::to_string(stats.warps_scanned) +
@@ -315,10 +258,6 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
       const auto reason = static_cast<dedup::BailReason>(r);
       line += std::string(" bail_") + dedup::bail_reason_name(reason) + "=" +
               std::to_string(interp.bails(reason));
-    }
-    if (overlapped) {
-      line += " pipeline_wait_ms=" + std::to_string(pipeline_wait_ms) +
-              " trace_workers=" + std::to_string(trace_workers_used);
     }
     prof::report(line);
   }

@@ -61,39 +61,15 @@ struct SimOptions {
   /// bisecting any future divergence.
   bool use_stepped_reference = false;
 
-  /// Launch-level worker threads for the timing engine (> 1 partitions
-  /// SMs across threads and overlaps trace generation with timing; see
-  /// src/gpusim/parallel.hpp). 0 defers to the CATT_SIM_THREADS
-  /// environment variable, defaulting to 1 (serial). Results are
-  /// bit-identical for every value — pinned by fuzz_kernel_test's
-  /// parallel-vs-serial oracle and tests/memsys_test.cpp.
-  int sim_threads = 0;
-
-  /// Trace-generation worker threads (> 1 shards renderable blocks
-  /// across interpreter workers; see TracePipeline). 0 defers to the
-  /// CATT_TRACE_THREADS environment variable, defaulting to 1. Results
-  /// are bit-identical for every value — pinned by fuzz_kernel_test's
-  /// trace-worker oracle stage.
-  int trace_threads = 0;
-
-  /// Per-launch delta-keyed render cache for dedup'd trace generation
-  /// (see KernelInterp::set_render_cache). On by default; a pure speed
-  /// knob, bit-identical either way (pinned by fuzz_kernel_test and
-  /// timing_test). CATT_RENDER_CACHE=0 in the environment disables it
-  /// when this field is left true (the A/B knob for perf smoke runs).
-  bool render_cache = true;
-
   /// Observability attachment (null = environment defaults, see
   /// obs::resolve). Read-only for the simulator; sinks inside are written.
   const obs::SimObs* obs = nullptr;
 
   /// Stable content hash; part of the exec::SimCache key (options that
   /// change simulated behaviour or collected outputs must be included).
-  /// skip_functional/trace_key/use_stepped_reference/sim_threads/
-  /// trace_threads/render_cache/obs are deliberately EXCLUDED: all but
-  /// the last are pure execution-strategy switches that cannot change
-  /// any collected output (sim_threads/trace_threads/render_cache are
-  /// bit-exact by construction), and observability must never
+  /// skip_functional/trace_key/use_stepped_reference/obs are deliberately
+  /// EXCLUDED: all but the last are pure execution-strategy switches that
+  /// cannot change any collected output, and observability must never
   /// perturb memoization keys (runner_test pins trace-on/off CSVs
   /// byte-identical through the cache). `sched` folds in only when
   /// enabled, so a "none" config hashes identically to pre-seam builds.
@@ -132,8 +108,7 @@ struct KernelStats {
   int sched_paused_tbs = 0;
   int sched_max_paused_tbs = 0;
   /// The adaptive policy's decision log, merged over SMs and sorted by
-  /// (cycle, sm) — deterministic at any CATT_SIM_THREADS (pinned by fuzz
-  /// stage 6). Empty for "none" and the hardware baselines. Exported as
+  /// (cycle, sm). Empty for "none" and the hardware baselines. Exported as
   /// obs counters (sim.policy.*) and Chrome-trace instant events.
   std::vector<sched::Decision> sched_decisions;
   occupancy::Occupancy occ;

@@ -87,76 +87,6 @@ void KernelInterp::set_functional(bool on) {
 void KernelInterp::enable_dedup(dedup::TraceDedup& cache, std::uint64_t key) {
   entry_ = &cache.entry(key);
   table_ = &entry_->table;
-  render_cache_.resize(static_cast<std::size_t>(warps_per_block()));
-}
-
-bool KernelInterp::parallel_renderable() const {
-  if (entry_ == nullptr || !entry_->generated || functional_) return false;
-  if (entry_->warps.size() != static_cast<std::size_t>(warps_per_block())) return false;
-  for (const dedup::ParamWarpTrace& w : entry_->warps) {
-    if (!w.valid) return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// True when some other block is sure to render warp `pt` exactly as this
-/// one does: every memory event's delta ignores a block axis along which
-/// the grid extends, so blocks differing only on that axis share a delta
-/// vector.
-bool delta_repeats(const dedup::ParamWarpTrace& pt, const arch::Dim3& grid) {
-  bool x = grid.x > 1;
-  bool y = grid.y > 1;
-  bool z = grid.z > 1;
-  for (const dedup::ParamEvent& pe : pt.events) {
-    if (pe.kind != EventKind::kMem) continue;
-    x = x && pe.dx == 0;
-    y = y && pe.dy == 0;
-    z = z && pe.dz == 0;
-  }
-  return x || y || z;
-}
-
-}  // namespace
-
-WarpTrace KernelInterp::render_warp(std::size_t w, const arch::Dim3& bid,
-                                    const std::shared_ptr<TxnPool>& pool) {
-  const dedup::ParamWarpTrace& pt = entry_->warps[w];
-  // A cached trace stays alive (with its block's TxnPool) for the whole
-  // launch, so only warps whose delta vector can repeat are cached.
-  if (!render_cache_on_ || !cacheable_[w]) {
-    return dedup::render(pt, *prog_, entry_->table, bid, line_bytes_, pool);
-  }
-
-  // The rendered bytes depend on bid only through the per-mem-event
-  // deltas; the delta vector is the exact cache key.
-  std::vector<std::uint64_t> key;
-  key.reserve(pt.events.size());
-  for (const dedup::ParamEvent& pe : pt.events) {
-    if (pe.kind != EventKind::kMem) continue;
-    key.push_back(static_cast<std::uint64_t>(pe.dx) * bid.x +
-                  static_cast<std::uint64_t>(pe.dy) * bid.y +
-                  static_cast<std::uint64_t>(pe.dz) * bid.z);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = render_cache_[w].find(key);
-    if (it != render_cache_[w].end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_bytes_saved_.fetch_add(it->second.bytes(), std::memory_order_relaxed);
-      return it->second;  // shared-storage handle: a refcount bump
-    }
-  }
-  // Miss: render outside the lock (concurrent duplicate renders of the
-  // same key produce identical traces; keeping whichever inserts first
-  // is benign). The cached copy pins its block's TxnPool for the launch.
-  WarpTrace t = dedup::render(pt, *prog_, entry_->table, bid, line_bytes_, pool);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    render_cache_[w].emplace(std::move(key), t);
-  }
-  return t;
 }
 
 void KernelInterp::ensure_compiled() {
@@ -174,7 +104,7 @@ std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
   auto pool = arena_.acquire();
   for (int w = 0; w < warps; ++w) {
     out.push_back(vm_->run_warp(w, *table_, pool));
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    ++executed_;
   }
   return out;
 }
@@ -196,14 +126,6 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
     }
     entry_->generated = true;
   }
-  if (cacheable_.empty()) {
-    // Once per launch, before any trace worker starts (block 0 is always
-    // produced first, alone).
-    for (const dedup::ParamWarpTrace& pt : entry_->warps) {
-      cacheable_.push_back(pt.valid && delta_repeats(pt, launch_.grid));
-    }
-  }
-
   const arch::Dim3 bid = arch::delinearize(block_linear, launch_.grid);
   const int warps = warps_per_block();
   std::vector<WarpTrace> out;
@@ -214,15 +136,16 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
     const bool affine = static_cast<std::size_t>(w) < entry_->warps.size() &&
                         entry_->warps[static_cast<std::size_t>(w)].valid;
     if (affine) {
-      out.push_back(render_warp(static_cast<std::size_t>(w), bid, pool));
-      rendered_.fetch_add(1, std::memory_order_relaxed);
+      out.push_back(dedup::render(entry_->warps[static_cast<std::size_t>(w)], *prog_,
+                                  entry_->table, bid, line_bytes_, pool));
+      ++rendered_;
     } else {
       if (!vm_block_set) {
         vm_->set_block(block_linear);
         vm_block_set = true;
       }
       out.push_back(vm_->run_warp(w, *table_, pool));
-      executed_.fetch_add(1, std::memory_order_relaxed);
+      ++executed_;
     }
   }
   return out;

@@ -21,11 +21,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,49 +67,23 @@ class KernelInterp {
   /// trace-pure kernel; renders affine warps instead of executing them.
   void enable_dedup(dedup::TraceDedup& cache, std::uint64_t key);
 
-  /// Toggles the per-launch delta-keyed render cache (on by default).
-  /// Purely a speed knob: traces are bit-identical either way.
-  void set_render_cache(bool on) { render_cache_on_ = on; }
-
-  /// True once every warp of a block can be rendered from the parametric
-  /// traces with no VM fallback — the condition under which run_block is
-  /// safe to call from concurrent trace workers for distinct blocks:
-  /// renders only read the program, the symbolic warps and the site table
-  /// (all ids were assigned while the generation block was produced; grid-
-  /// uniform control flow means no rendered warp can reference a site the
-  /// generation block did not encounter). Any invalid warp means later
-  /// blocks run the concrete VM, which assigns site ids in block order
-  /// and mutates lane state — strictly serial.
-  bool parallel_renderable() const;
-
-  /// Dedup counters (for CATT_PROFILE attribution). Relaxed atomics:
-  /// trace workers bump them concurrently; totals are read after join.
-  std::uint64_t warps_rendered() const { return rendered_.load(std::memory_order_relaxed); }
-  std::uint64_t warps_executed() const { return executed_.load(std::memory_order_relaxed); }
+  /// Dedup counters (for CATT_PROFILE attribution).
+  std::uint64_t warps_rendered() const { return rendered_; }
+  std::uint64_t warps_executed() const { return executed_; }
 
   /// Dedup attribution (sim.dedup.*): warps of this launch's symbolized
   /// block that failed, by reason, and the time symbolization took. Zero
-  /// when the launch reused an entry generated earlier. Written by the
-  /// thread that produces block 0; read after trace generation joins.
+  /// when the launch reused an entry generated earlier.
   std::uint64_t bails(dedup::BailReason r) const {
     return bails_[static_cast<std::size_t>(r)];
   }
   std::uint64_t symbolize_us() const { return symbolize_us_; }
 
-  /// Render-cache counters (sim.tracegen.* observability).
-  std::uint64_t render_cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t render_cache_bytes_saved() const {
-    return cache_bytes_saved_.load(std::memory_order_relaxed);
-  }
 
  private:
   void ensure_compiled();
   std::vector<WarpTrace> run_block_vm(std::uint64_t block_linear);
   std::vector<WarpTrace> run_block_dedup(std::uint64_t block_linear);
-  WarpTrace render_warp(std::size_t w, const arch::Dim3& bid,
-                        const std::shared_ptr<TxnPool>& pool);
 
   const ir::Kernel& kernel_;
   arch::LaunchConfig launch_;
@@ -132,31 +104,12 @@ class KernelInterp {
   bc::SiteTable* table_ = &own_table_;  // entry's table when dedup is on
   dedup::DedupEntry* entry_ = nullptr;
 
-  std::atomic<std::uint64_t> rendered_{0};
-  std::atomic<std::uint64_t> executed_{0};
+  std::uint64_t rendered_ = 0;
+  std::uint64_t executed_ = 0;
   std::array<std::uint64_t, dedup::kNumBailReasons> bails_{};
   std::uint64_t symbolize_us_ = 0;
 
-  /// Delta-keyed render cache. Warp w of block (bx,by,bz) renders a trace
-  /// fully determined by the per-mem-event byte deltas dx*bx+dy*by+dz*bz
-  /// (the base addresses, cycle counts and site ids are block-invariant),
-  /// so blocks whose delta vectors coincide — every kernel that ignores
-  /// one or more block coordinates in its addressing — share one
-  /// immutable rendered trace. A hit is a map lookup plus a WarpTrace
-  /// refcount bump. A cached trace pins its block's TxnPool for the
-  /// launch, so only warps whose addresses ignore a block axis the grid
-  /// spans are cached (cacheable_). Mutex-guarded: trace workers render
-  /// concurrently; on a racing miss both render (identical bytes) and
-  /// first insert wins.
-  bool render_cache_on_ = true;
-  std::vector<bool> cacheable_;  // per warp; see delta_repeats in interp.cpp
-  std::mutex cache_mu_;
-  std::vector<std::map<std::vector<std::uint64_t>, WarpTrace>> render_cache_;
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_bytes_saved_{0};
-
-  /// Recycles per-block TxnPool allocations (safe against the pipeline's
-  /// cross-thread release of finished traces).
+  /// Recycles per-block TxnPool allocations.
   TxnArena arena_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -37,22 +39,30 @@ namespace {
   throw SimError("bad --sched spec '" + spec + "': " + why);
 }
 
-std::int64_t parse_int(const std::string& spec, const std::string& v) {
+/// Integer knob in [lo, hi]. Out-of-range values — strtoll's ERANGE
+/// saturation included — are rejected, never wrapped into the narrower
+/// config field.
+std::int64_t parse_int(const std::string& spec, const std::string& v, std::int64_t lo,
+                       std::int64_t hi) {
+  errno = 0;
   char* end = nullptr;
   const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || x <= 0) bad_spec(spec, "expected positive integer, got '" + v + "'");
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE || x < lo || x > hi) {
+    bad_spec(spec, "expected integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                       "], got '" + v + "'");
+  }
   return static_cast<std::int64_t>(x);
+}
+
+/// Positive knob that fits the config's int fields.
+int parse_pos(const std::string& spec, const std::string& v) {
+  return static_cast<int>(parse_int(spec, v, 1, std::numeric_limits<int>::max()));
 }
 
 /// Knobs where zero is meaningful (adaptive's window=0 degenerate mode,
 /// cooldown=0 for decide-every-window).
-std::int64_t parse_nonneg(const std::string& spec, const std::string& v) {
-  char* end = nullptr;
-  const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || x < 0) {
-    bad_spec(spec, "expected non-negative integer, got '" + v + "'");
-  }
-  return static_cast<std::int64_t>(x);
+int parse_nonneg(const std::string& spec, const std::string& v) {
+  return static_cast<int>(parse_int(spec, v, 0, std::numeric_limits<int>::max()));
 }
 
 double parse_frac(const std::string& spec, const std::string& v) {
@@ -94,35 +104,35 @@ PolicyConfig PolicyConfig::parse(const std::string& spec) {
     const std::string key = kv.substr(0, eq);
     const std::string val = kv.substr(eq + 1);
     if (key == "interval") {
-      cfg.update_interval = parse_int(spec, val);
+      cfg.update_interval = parse_int(spec, val, 1, std::numeric_limits<std::int64_t>::max());
     } else if (cfg.kind == Kind::kCcws && key == "tags") {
-      cfg.ccws_victim_tags = static_cast<int>(parse_int(spec, val));
+      cfg.ccws_victim_tags = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kCcws && key == "hit_score") {
-      cfg.ccws_hit_score = static_cast<int>(parse_int(spec, val));
+      cfg.ccws_hit_score = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kCcws && key == "decay") {
-      cfg.ccws_decay = static_cast<int>(parse_int(spec, val));
+      cfg.ccws_decay = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kCcws && key == "base") {
-      cfg.ccws_base_score = static_cast<int>(parse_int(spec, val));
+      cfg.ccws_base_score = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kCcws && key == "min_active") {
-      cfg.ccws_min_active = static_cast<int>(parse_int(spec, val));
+      cfg.ccws_min_active = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kDyncta && key == "low") {
       cfg.dyncta_low_hit = parse_frac(spec, val);
     } else if (cfg.kind == Kind::kDyncta && key == "high") {
       cfg.dyncta_high_hit = parse_frac(spec, val);
     } else if (cfg.kind == Kind::kDyncta && key == "min_tbs") {
-      cfg.dyncta_min_tbs = static_cast<int>(parse_int(spec, val));
+      cfg.dyncta_min_tbs = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kAdaptive && key == "window") {
-      cfg.adaptive_window = static_cast<int>(parse_nonneg(spec, val));
+      cfg.adaptive_window = parse_nonneg(spec, val);
     } else if (cfg.kind == Kind::kAdaptive && key == "low") {
       cfg.adaptive_low_hit = parse_frac(spec, val);
     } else if (cfg.kind == Kind::kAdaptive && key == "hysteresis") {
       cfg.adaptive_hysteresis = parse_frac(spec, val);
     } else if (cfg.kind == Kind::kAdaptive && key == "cooldown") {
-      cfg.adaptive_cooldown = static_cast<int>(parse_nonneg(spec, val));
+      cfg.adaptive_cooldown = parse_nonneg(spec, val);
     } else if (cfg.kind == Kind::kAdaptive && key == "max_drop") {
-      cfg.adaptive_max_drop = static_cast<int>(parse_int(spec, val));
+      cfg.adaptive_max_drop = parse_pos(spec, val);
     } else if (cfg.kind == Kind::kAdaptive && key == "min_active") {
-      cfg.adaptive_min_active = static_cast<int>(parse_int(spec, val));
+      cfg.adaptive_min_active = parse_pos(spec, val);
     } else {
       bad_spec(spec, "unknown knob '" + key + "' for policy '" + name + "'");
     }

@@ -166,12 +166,9 @@ class SchedPolicy {
   /// stats, `ready_warps` the instantaneous issuable-warp count,
   /// `mshr_in_flight` the datapath's in-flight miss count at `now` and
   /// `insts_retired` the SM's cumulative retired-instruction count (all
-  /// exact between events, and identical at any CATT_SIM_THREADS: per-SM
-  /// step times and datapath state match the serial schedule by the
-  /// parallel engine's window invariant — see DESIGN.md). The retired
-  /// count is the outcome signal: a policy that probes a throttle level
-  /// can compare per-interval IPC before and after instead of trusting
-  /// the cache signature alone.
+  /// exact between events). The retired count is the outcome signal: a
+  /// policy that probes a throttle level can compare per-interval IPC
+  /// before and after instead of trusting the cache signature alone.
   virtual void update(std::int64_t now, const CacheStats& l1, std::uint64_t ready_warps,
                       std::uint64_t mshr_in_flight, std::uint64_t insts_retired) = 0;
 
@@ -191,13 +188,6 @@ class SchedPolicy {
   /// waiting at a barrier (barrier release must never be throttled), so
   /// policies need no barrier awareness. A denial is counted in stats().
   virtual bool may_issue(int warp, int tb) = 0;
-
-  /// True when an SM with no live warps may skip this policy's update
-  /// clock entirely (the event engine's idle early-exit). The adaptive
-  /// policy opts in so trailing idle steps — which the parallel engine's
-  /// lanes take and the serial loop does not — have no observable effect;
-  /// the hardware baselines keep the pre-existing always-tick behaviour.
-  virtual bool idle_skippable() const { return false; }
 
   /// The adaptive controller's decision log (null for policies that take
   /// no discrete decisions). Entries are in increasing cycle order.

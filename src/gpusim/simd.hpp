@@ -17,9 +17,8 @@ namespace catt::sim {
 
 #if defined(CATT_SIMD_AVX2_DISPATCH)
 namespace detail {
-/// CATT_NO_AVX2=1 forces the baseline bodies on an AVX2 host — the knob
-/// scripts/tracegen_smoke.sh uses to price the SIMD paths in isolation.
-/// Results are bit-identical either way (every AVX2 clone computes the
+/// CATT_NO_AVX2=1 forces the baseline bodies on an AVX2 host, to price
+/// the SIMD paths in isolation. Results are bit-identical either way (every AVX2 clone computes the
 /// same integer function as its baseline body); this only moves time.
 inline bool probe_avx2() {
   if (const char* env = std::getenv("CATT_NO_AVX2"); env != nullptr && *env == '1') {

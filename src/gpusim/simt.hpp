@@ -42,8 +42,7 @@ inline std::uint32_t active_count(Mask m) {
 }
 
 /// Per-warp divergence counters. Merging is commutative (sums plus a max),
-/// so aggregation is deterministic at any CATT_SIM_THREADS /
-/// CATT_TRACE_THREADS setting.
+/// so aggregation does not depend on merge order.
 struct DivCounters {
   std::uint64_t branches = 0;
   std::uint64_t divergent_branches = 0;

@@ -67,8 +67,8 @@ std::int64_t SmDatapath::mshr_load(std::uint64_t line, std::int64_t t_issue, int
   return line_done;
 }
 
-std::int64_t SmDatapath::exec_mem_now(const WarpTrace& t, std::size_t pc, std::int64_t now,
-                                      int warp) {
+std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64_t now,
+                                  int warp) {
   const std::uint32_t n = t.txn_count(pc);
   const bool is_store = t.is_store(pc);
   ++stats.mem_insts;
@@ -120,101 +120,6 @@ std::int64_t SmDatapath::exec_mem_now(const WarpTrace& t, std::size_t pc, std::i
   // Stores are fire-and-forget: the warp proceeds once transactions are
   // handed to the LSU.
   return is_store ? std::max(now + 1, lsu_next_free_) : done;
-}
-
-std::int64_t SmDatapath::exec_mem_deferred(const WarpTrace& t, std::size_t pc,
-                                           std::int64_t now, int warp) {
-  const std::uint32_t n = t.txn_count(pc);
-  const bool is_store = t.is_store(pc);
-  ++stats.mem_insts;
-  stats.mem_requests += n;
-  stats.lane_mem_insts += t.lane_work(pc);
-  if (request_series_ != nullptr && !is_store) {
-    request_series_->add(static_cast<double>(n));
-  }
-
-  MemDefer& d = *defer_;
-  const std::uint32_t dep_begin = static_cast<std::uint32_t>(d.deps.size());
-  std::int64_t done = now + 1;
-  const Txn* txns = n != 0 ? t.txns(pc) : nullptr;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Txn& txn = txns[i];
-    const std::int64_t t_issue = std::max(now, lsu_next_free_);
-    lsu_next_free_ = t_issue + arch_.timing.lsu_issue_interval;
-
-    if (is_store) {
-      l1_.note_store(txn.line);
-      d.txns.push_back({now, t_issue, -1, 0, txn.line, txn.sectors, true});
-      done = std::max(done, t_issue + 1);
-      continue;
-    }
-    Cache::SetHint hint;
-    const std::int64_t hit = l1_.probe_load_fast(txn.line, t_issue, hint);
-    if (policy_ != nullptr) policy_->on_l1_access(warp, txn.line, hit != Cache::kProbeMiss);
-    if (hit != Cache::kProbeMiss) {
-      if (hit == MemDefer::kPendingReady) {
-        // Hit on a line whose in-flight fill is itself a deferred
-        // response: serial would return max(fill_ready, t_issue), so the
-        // concrete term is t_issue and the fill term resolves later.
-        d.deps.push_back({pending_line_.find(txn.line)->second,
-                          arch_.timing.l1_hit_latency});
-        done = std::max(done, t_issue + arch_.timing.l1_hit_latency);
-      } else {
-        done = std::max(done, hit + arch_.timing.l1_hit_latency);
-      }
-      continue;
-    }
-    // Miss: allocate the MSHR and record the L2 touch instead of making
-    // it. The blocking slot's completion may itself be pending, in which
-    // case the arrival time carries a dependence on that earlier txn.
-    if (ring_ref_.empty()) ring_ref_.assign(mshr_ring_.size(), -1);
-    const std::uint32_t k = static_cast<std::uint32_t>(d.txns.size());
-    const std::int64_t ring_v = mshr_ring_[mshr_next_];
-    const std::int32_t ring_dep = ring_ref_[mshr_next_];
-    std::int64_t t_arr;
-    std::int32_t arr_dep = -1;
-    if (ring_dep >= 0) {
-      t_arr = t_issue + arch_.timing.l1_hit_latency;
-      arr_dep = ring_dep;
-    } else {
-      t_arr = std::max(t_issue, ring_v) + arch_.timing.l1_hit_latency;
-    }
-    d.txns.push_back({now, t_arr, arr_dep, arch_.timing.l1_hit_latency, txn.line,
-                      txn.sectors, false});
-    mshr_ring_[mshr_next_] = MemDefer::kPendingReady;
-    ring_ref_[mshr_next_] = static_cast<std::int32_t>(k);
-    if (++mshr_next_ == mshr_ring_.size()) mshr_next_ = 0;
-    const Cache::InsertSlot slot = l1_.insert_where(txn.line, MemDefer::kPendingReady, hint);
-    if (policy_ != nullptr && slot.victim != Cache::kNoVictim) {
-      policy_->on_l1_evict(slot.victim);
-    }
-    d.l1_patches.push_back({k, slot.set, slot.way, txn.line});
-    pending_line_[txn.line] = k;
-    d.deps.push_back({k, 0});
-  }
-  if (is_store) return std::max(now + 1, lsu_next_free_);
-  const std::uint32_t dep_count = static_cast<std::uint32_t>(d.deps.size()) - dep_begin;
-  if (dep_count == 0) return done;
-  d.fixes.push_back({warp, done, dep_begin, dep_count});
-  return MemDefer::kPendingReady;
-}
-
-void SmDatapath::apply_responses(const MemDefer& d, const std::vector<std::int64_t>& resp) {
-  // The ring ref always names the LAST txn written to a slot, so patching
-  // by ref is inherently last-write-wins.
-  for (std::size_t s = 0; s < ring_ref_.size(); ++s) {
-    if (ring_ref_[s] >= 0) {
-      mshr_ring_[s] = resp[static_cast<std::size_t>(ring_ref_[s])];
-      ring_ref_[s] = -1;
-    }
-  }
-  // L1 fills patch in insertion order; a way re-victimized by a later
-  // in-window miss fails the tag guard for the earlier patch and takes
-  // the later one — exactly the serial end-of-window state.
-  for (const MemDefer::L1Patch& p : d.l1_patches) {
-    l1_.set_ready_if(p.set, p.way, p.line, resp[p.txn]);
-  }
-  pending_line_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -315,36 +220,7 @@ std::uint64_t Sm::issuable_warps(std::int64_t now) const {
   return n;
 }
 
-std::int64_t Sm::next_ready_time() const {
-  std::int64_t best = kNever;
-  for (const WakeEv& e : wake_) {
-    const WarpCtx& w = warps_[static_cast<std::size_t>(e.warp)];
-    if (e.at == w.ready_at && (w.state == WarpState::kReady || w.state == WarpState::kBlocked)) {
-      best = std::min(best, e.at);
-    }
-  }
-  for (const int wi : ready_) {
-    const WarpCtx& w = warps_[static_cast<std::size_t>(wi)];
-    if (w.state == WarpState::kReady || w.state == WarpState::kBlocked) {
-      best = std::min(best, w.ready_at);
-    }
-  }
-  return best;
-}
-
 int Sm::step(std::int64_t now, std::int64_t* next_ready) {
-  // An SM with no live warps has nothing to do until admission wakes it;
-  // its leftover stale ready/wake entries are unreachable noise. Bailing
-  // out (for policy-free SMs and policies that declare their idle ticks
-  // skippable; the hardware baselines keep their update clock ticking)
-  // makes the trailing steps after an SM's last warp completes free of
-  // observable effects, which is what lets the parallel engine run lanes
-  // past the launch's final completion without diverging from the serial
-  // engine, whose loop exits before popping those events.
-  if (active_warps_ == 0 && (policy_ == nullptr || policy_->idle_skippable())) {
-    if (next_ready != nullptr) *next_ready = kNever;
-    return 0;
-  }
   ++path_.stats.sm_steps;
   if (policy_ != nullptr && now >= policy_->next_update_time()) {
     policy_->update(now, path_.l1_stats(), issuable_warps(now), path_.mshr_in_flight(now),
@@ -435,10 +311,7 @@ void Sm::issue(WarpCtx& w, std::int64_t now) {
       const int wi = static_cast<int>(&w - warps_.data());
       w.state = WarpState::kBlocked;
       w.ready_at = path_.exec_mem(w.trace, pc, now, wi);
-      // A deferred-mode warp parked on the pending sentinel gets its wake
-      // entry from resolve_deferred() once the real cycle is known (the
-      // serial path never produces the sentinel).
-      if (w.ready_at != MemDefer::kPendingReady) push_wake(wi);
+      push_wake(wi);
       return;
     }
     case EventKind::kBarrier: {
@@ -469,27 +342,6 @@ void Sm::issue(WarpCtx& w, std::int64_t now) {
       return;
     }
   }
-}
-
-std::int64_t Sm::resolve_deferred(const MemDefer& d, const std::vector<std::int64_t>& resp) {
-  std::int64_t earliest = kNever;
-  for (const MemDefer::WarpFix& f : d.fixes) {
-    std::int64_t ready = f.base;
-    for (std::uint32_t i = 0; i < f.dep_count; ++i) {
-      const MemDefer::Dep& dep = d.deps[static_cast<std::size_t>(f.dep_begin) + i];
-      ready = std::max(ready, resp[dep.txn] + dep.add);
-    }
-    WarpCtx& w = warps_[static_cast<std::size_t>(f.warp)];
-    w.ready_at = ready;
-    // The warp got no wake entry while parked on the sentinel (serial
-    // pushed it at issue time with this same value — the heap's multiset
-    // content matches at the window boundary, which is all pop order
-    // depends on).
-    push_wake(f.warp);
-    earliest = std::min(earliest, ready);
-  }
-  path_.apply_responses(d, resp);
-  return earliest;
 }
 
 void Sm::maybe_release_barrier(int tb_id, std::int64_t now) {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/gpu_arch.hpp"
@@ -67,78 +66,6 @@ class MemorySystem {
   std::uint64_t dram_lines_ = 0;
 };
 
-/// Deferred cross-SM memory interactions recorded by one SM during a
-/// parallel-engine window (see parallel.hpp). While a defer sink is
-/// installed, exec_mem computes everything that depends only on SM-local
-/// state (LSU pipeline, L1 probe/fill, MSHR allocation) and records its
-/// L2/DRAM touches instead of calling MemorySystem; the engine replays
-/// them against the real MemorySystem in deterministic
-/// (event cycle, sm, seq) order at the window boundary — exactly the
-/// serial engine's call order — and then resolves the dependent warp
-/// ready times, MSHR slots, and L1 fill cycles from the responses.
-struct MemDefer {
-  /// Sentinel "fill in flight, completion unknown" cycle used for warp
-  /// ready times, MSHR ring slots, and L1 way fills whose value is a
-  /// deferred response. Distinct from Sm::kNever and larger than every
-  /// cycle the in-window schedule can compare against, so pending warps
-  /// and MSHR slots behave exactly like serial ones whose (concrete)
-  /// completion lies beyond the window — which is a proven invariant of
-  /// the window sizing, see DESIGN.md.
-  static constexpr std::int64_t kPendingReady =
-      std::numeric_limits<std::int64_t>::max() - 1;
-
-  /// One deferred MemorySystem touch. `cycle` is the event cycle of the
-  /// step that executed it (the merge key); the L2 arrival time is
-  /// max(t_arr, resp[arr_dep] + arr_add) — the dependent term exists only
-  /// when the blocking MSHR slot's completion was itself deferred
-  /// (arr_dep indexes this SM's txns and is always earlier in merge
-  /// order).
-  struct Txn {
-    std::int64_t cycle = 0;
-    std::int64_t t_arr = 0;
-    std::int32_t arr_dep = -1;
-    std::int32_t arr_add = 0;
-    std::uint64_t line = 0;
-    std::uint8_t sectors = 1;
-    bool is_store = false;
-  };
-  /// One term of a deferred warp ready time: resp[txn] + add.
-  struct Dep {
-    std::uint32_t txn = 0;
-    std::int32_t add = 0;
-  };
-  /// A warp parked on kPendingReady:
-  /// ready = max(base, max over deps[dep_begin..] of resp + add).
-  struct WarpFix {
-    int warp = -1;
-    std::int64_t base = 0;
-    std::uint32_t dep_begin = 0;
-    std::uint32_t dep_count = 0;
-  };
-  /// An L1 way filled with the pending sentinel, patched to resp[txn]
-  /// after the merge (guarded: the way may have been re-victimized by a
-  /// later in-window miss — patches apply in insertion order, so
-  /// last-write-wins reproduces serial fill state).
-  struct L1Patch {
-    std::uint32_t txn = 0;
-    std::int32_t set = -1;
-    std::int32_t way = -1;
-    std::uint64_t line = 0;
-  };
-
-  std::vector<Txn> txns;
-  std::vector<Dep> deps;
-  std::vector<WarpFix> fixes;
-  std::vector<L1Patch> l1_patches;
-
-  void clear() {
-    txns.clear();
-    deps.clear();
-    fixes.clear();
-    l1_patches.clear();
-  }
-};
-
 struct SmStats {
   std::uint64_t warp_insts = 0;
   std::uint64_t mem_insts = 0;
@@ -148,8 +75,7 @@ struct SmStats {
   // active lanes for compute, pre-coalescing lane accesses for memory.
   // With the per-warp divergence counters these quantify how much issue
   // bandwidth divergence wastes (simd efficiency = lane_cycles /
-  // (32 * busy compute cycles)). Commutative sums, so totals are
-  // bit-identical at any CATT_SIM_THREADS / CATT_TRACE_THREADS.
+  // (32 * busy compute cycles)).
   std::uint64_t lane_cycles = 0;
   std::uint64_t lane_mem_insts = 0;
   simt::DivCounters div;
@@ -184,20 +110,7 @@ class SmDatapath {
   /// Executes the kMem trace event `pc` of `t` issued at cycle `now` by
   /// warp `warp` and returns the cycle the warp may proceed. The warp index
   /// only feeds the (optional) scheduling policy's L1 feedback.
-  std::int64_t exec_mem(const WarpTrace& t, std::size_t pc, std::int64_t now, int warp = -1) {
-    if (defer_ != nullptr) return exec_mem_deferred(t, pc, now, warp);
-    return exec_mem_now(t, pc, now, warp);
-  }
-
-  /// Installs (or removes) the parallel engine's defer sink. While set,
-  /// exec_mem records MemorySystem touches into it instead of performing
-  /// them and returns MemDefer::kPendingReady for dependent warps.
-  void set_defer(MemDefer* d) { defer_ = d; }
-
-  /// Applies merged responses (`resp[i]` = data-ready cycle of defer txn
-  /// `i`): patches pending MSHR ring slots and L1 fill times, and clears
-  /// the pending-line index. Call once per window, before sampling.
-  void apply_responses(const MemDefer& d, const std::vector<std::int64_t>& resp);
+  std::int64_t exec_mem(const WarpTrace& t, std::size_t pc, std::int64_t now, int warp = -1);
 
   /// Optional throttling policy fed by L1D access/eviction events. Null
   /// (the default) means no feedback calls at all on the hot path.
@@ -217,9 +130,6 @@ class SmDatapath {
   SmStats stats;
 
  private:
-  std::int64_t exec_mem_now(const WarpTrace& t, std::size_t pc, std::int64_t now, int warp);
-  std::int64_t exec_mem_deferred(const WarpTrace& t, std::size_t pc, std::int64_t now,
-                                 int warp);
   std::int64_t mshr_load(std::uint64_t line, std::int64_t t_issue, int sectors,
                          const Cache::SetHint& hint);
 
@@ -237,17 +147,6 @@ class SmDatapath {
   /// expensive relative to the LSU-bound hit path.
   std::vector<std::int64_t> mshr_ring_;
   std::size_t mshr_next_ = 0;
-  /// Parallel-engine defer sink (null on the serial path — the exec_mem
-  /// hot loop gates on this single pointer).
-  MemDefer* defer_ = nullptr;
-  /// Per ring slot: index of the defer txn whose response fills it, or -1
-  /// when the slot's completion time is concrete. Sized lazily on first
-  /// deferred miss.
-  std::vector<std::int32_t> ring_ref_;
-  /// Line -> defer txn that most recently installed it with a pending
-  /// fill; lets an in-window probe hit on an in-flight line name the
-  /// response it depends on. Cleared by apply_responses.
-  std::unordered_map<std::uint64_t, std::uint32_t> pending_line_;
 };
 
 /// Event-driven SM engine (see header comment).
@@ -260,24 +159,7 @@ class Sm {
      const obs::SimTraceCtx* trace = nullptr, int sm_index = 0,
      sched::SchedPolicy* policy = nullptr);
 
-  bool has_free_slot() const { return free_slots_ > 0 && !admit_hold_; }
-
-  /// Parallel-engine admission hold: a worker that pauses this SM on a TB
-  /// completion at cycle c sets the hold so the coordinator's admission
-  /// replay cannot hand it a block at an earlier cycle (the freed slot
-  /// becomes visible to the serial dispatcher only at c). Cleared just
-  /// before the coordinator processes cycle c.
-  void set_admit_hold(bool on) { admit_hold_ = on; }
-
-  /// Installs the parallel engine's defer sink on the datapath.
-  void set_defer(MemDefer* d) { path_.set_defer(d); }
-
-  /// Resolves every warp parked on MemDefer::kPendingReady from the
-  /// merged responses (ready = max(base, max resp + add)), pushes their
-  /// wake-ups, and patches the datapath (MSHR ring, L1 fills). Returns
-  /// the earliest resolved wake-up cycle (kNever when none) so the
-  /// engine can tighten this SM's next due time.
-  std::int64_t resolve_deferred(const MemDefer& d, const std::vector<std::int64_t>& resp);
+  bool has_free_slot() const { return free_slots_ > 0; }
 
   /// Makes a thread block resident; one trace per warp.
   void admit_tb(std::vector<WarpTrace> traces, std::int64_t now);
@@ -291,9 +173,6 @@ class Sm {
 
   /// Any resident warp not yet done?
   bool busy() const { return active_warps_ > 0; }
-
-  /// Earliest cycle at which some warp becomes issuable (kNever if none).
-  std::int64_t next_ready_time() const;
 
   int completed_tbs() const { return completed_tbs_; }
   const CacheStats& l1_stats() const { return path_.l1_stats(); }
@@ -371,8 +250,6 @@ class Sm {
   int active_warps_ = 0;
   int completed_tbs_ = 0;
   int greedy_warp_ = -1;
-  /// See set_admit_hold().
-  bool admit_hold_ = false;
 };
 
 }  // namespace catt::sim

@@ -51,10 +51,9 @@ using TxnPool = std::vector<Txn>;
 ///
 /// Storage is a shared handle: the SoA arrays (and the pool reference)
 /// live in one refcounted Data block, so a copy of a finished trace is a
-/// refcount bump, not a deep copy. This is what lets the per-launch
-/// render cache hand the same rendered trace to many blocks. The replay
-/// side only reads; emission must only ever target a freshly built trace
-/// (every construction site does).
+/// refcount bump, not a deep copy. The replay side only reads; emission
+/// must only ever target a freshly built trace (every construction site
+/// does).
 class WarpTrace {
  public:
   WarpTrace() = default;
@@ -85,17 +84,6 @@ class WarpTrace {
   void set_div(const simt::DivCounters& d) { ensure().div = d; }
 
   std::shared_ptr<TxnPool> pool() const { return data_ ? data_->pool : nullptr; }
-
-  /// Heap footprint of the event arrays plus this trace's share of the
-  /// pool (the render cache's bytes-saved accounting).
-  std::size_t bytes() const {
-    if (!data_) return 0;
-    std::size_t txns = 0;
-    for (const std::uint32_t c : data_->txn_count) txns += c;
-    return data_->kind.size() * (sizeof(std::uint8_t) * 2 + sizeof(std::uint32_t) * 4 +
-                                 sizeof(std::uint16_t)) +
-           txns * sizeof(Txn);
-  }
 
   // ---- emission ----
 
@@ -200,10 +188,9 @@ class WarpTrace {
 /// for large grids. The arena hands back cleared pools with their
 /// capacity intact, so steady state allocates nothing.
 ///
-/// Under the trace/timing pipeline, acquire() runs on the producer thread
-/// while release happens wherever the last trace reference dies, so the
-/// freelist is mutex-guarded; the custom deleter shares ownership of the
-/// state, making returns safe even after the arena itself is gone.
+/// A pool returns to the freelist wherever its last trace reference dies,
+/// so the freelist is mutex-guarded; the custom deleter shares ownership
+/// of the state, making returns safe even after the arena itself is gone.
 class TxnArena {
  public:
   std::shared_ptr<TxnPool> acquire() {

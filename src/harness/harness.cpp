@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -214,8 +215,9 @@ PolicyColumn policy_column(const std::string& token) {
   if (name == "fixed") {
     throttle::Fixed f;
     if (!p.has("n")) p.fail("policy 'fixed' needs n=N");
-    f.factor.n_divisor = static_cast<int>(p.int_or("n", 1));
-    f.factor.tb_limit = p.has("tb") ? static_cast<int>(p.int_or("tb", 0)) : 0;
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    f.factor.n_divisor = static_cast<int>(p.int_or("n", 1, kIntMax));
+    f.factor.tb_limit = p.has("tb") ? static_cast<int>(p.int_or("tb", 0, kIntMax)) : 0;
     p.reject_unknown_keys();
     return {token, f, {}};
   }
@@ -243,43 +245,6 @@ std::vector<PolicyColumn> policies_from_args(int argc, char** argv,
   return out;
 }
 
-int sim_threads_from_args(int argc, char** argv) {
-  const std::string spec = harness::flag_or_env(argc, argv, "sim-threads", "CATT_SIM_THREADS");
-  if (spec.empty()) return 0;
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(spec, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != spec.size() || n < 0) {
-    std::fprintf(stderr, "[bench] --sim-threads needs a non-negative integer, got '%s'\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-  return n;
-}
-
-int trace_threads_from_args(int argc, char** argv) {
-  const std::string spec =
-      harness::flag_or_env(argc, argv, "trace-threads", "CATT_TRACE_THREADS");
-  if (spec.empty()) return 0;
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(spec, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != spec.size() || n < 0) {
-    std::fprintf(stderr, "[bench] --trace-threads needs a non-negative integer, got '%s'\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-  return n;
-}
-
 std::shared_ptr<exec::DiskCache> cache_from_args(int argc, char** argv) {
   std::string spec = harness::flag_or_env(argc, argv, "cache", nullptr);
   if (spec.empty()) {
@@ -303,7 +268,9 @@ std::shared_ptr<exec::DiskCache> cache_from_args(int argc, char** argv) {
     cfg.evict = p.enum_or("evict", {"lru", "none"}, "lru") == "lru"
                     ? exec::DiskCacheConfig::Evict::kLru
                     : exec::DiskCacheConfig::Evict::kNone;
-    cfg.max_bytes = static_cast<std::uint64_t>(p.int_or("max_mb", 0)) * 1024 * 1024;
+    // MiB -> bytes must not wrap, so max_mb is capped at 2^44 - 1.
+    constexpr std::int64_t kMaxMb = (std::int64_t{1} << 44) - 1;
+    cfg.max_bytes = static_cast<std::uint64_t>(p.int_or("max_mb", 0, kMaxMb)) << 20;
     p.reject_unknown_keys();
     return std::make_shared<exec::DiskCache>(cfg);
   } catch (const std::exception& e) {

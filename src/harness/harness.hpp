@@ -147,20 +147,6 @@ struct PolicyColumn {
 std::vector<PolicyColumn> policies_from_args(int argc, char** argv,
                                              const std::string& fallback);
 
-/// Parses the shared timing-engine thread flag `--sim-threads=N` (else the
-/// CATT_SIM_THREADS environment variable, else 0 = serial default) for
-/// benches to assign to Runner::sim_options.sim_threads. Results are
-/// bit-identical at any value; this only trades wall time. Exits 2 on a
-/// malformed value.
-int sim_threads_from_args(int argc, char** argv);
-
-/// Parses the shared trace-generation worker flag `--trace-threads=N`
-/// (else the CATT_TRACE_THREADS environment variable, else 0 = serial
-/// default) for benches to assign to Runner::sim_options.trace_threads.
-/// Results are bit-identical at any value; this only trades wall time.
-/// Exits 2 on a malformed value.
-int trace_threads_from_args(int argc, char** argv);
-
 /// Parses the shared disk-cache flag `--cache=SPEC` (else the
 /// CATT_CACHE_DIR environment variable as a plain directory path, else
 /// caching off). Spec syntax, via harness::SpecParser:

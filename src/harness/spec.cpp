@@ -1,5 +1,6 @@
 #include "harness/spec.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -48,13 +49,16 @@ std::string SpecParser::str_or(const std::string& key, std::string fallback) con
   return fallback;
 }
 
-std::int64_t SpecParser::int_or(const std::string& key, std::int64_t fallback) const {
+std::int64_t SpecParser::int_or(const std::string& key, std::int64_t fallback,
+                                std::int64_t max) const {
   const std::string v = str_or(key, "");
   if (v.empty() && !has(key)) return fallback;
+  errno = 0;
   char* end = nullptr;
   const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || x <= 0) {
-    fail("key '" + key + "' expects a positive integer, got '" + v + "'");
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE || x <= 0 || x > max) {
+    fail("key '" + key + "' expects an integer in [1, " + std::to_string(max) + "], got '" +
+         v + "'");
   }
   return static_cast<std::int64_t>(x);
 }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,8 +31,10 @@ class SpecParser {
 
   /// The raw value (consumes the key); `fallback` when absent.
   std::string str_or(const std::string& key, std::string fallback) const;
-  /// Positive integer (consumes the key); throws on 0/negative/garbage.
-  std::int64_t int_or(const std::string& key, std::int64_t fallback) const;
+  /// Integer in [1, max] (consumes the key); throws on garbage and on
+  /// out-of-range values, never wrapping or saturating them.
+  std::int64_t int_or(const std::string& key, std::int64_t fallback,
+                      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
   /// Value restricted to `allowed` (consumes the key).
   std::string enum_or(const std::string& key, std::initializer_list<std::string_view> allowed,
                       std::string fallback) const;

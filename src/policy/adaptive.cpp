@@ -133,8 +133,6 @@ class AdaptivePolicy final : public sched::SchedPolicy {
     return ok;
   }
 
-  bool idle_skippable() const override { return true; }
-
   const std::vector<sched::Decision>* decisions() const override { return &decisions_; }
 
  private:

@@ -2,10 +2,10 @@
 // mini-CUDA affine kernels: every generated kernel is cross-checked three
 // ways — bytecode VM vs. the tree-walk RefKernelInterp (traces and final
 // functional memory), trace dedup on vs. off (for trace-pure kernels), and
-// the event-driven engine vs. the cycle-stepped SmRef (KernelStats). The
-// generator covers ragged guards, nested loops, data-dependent indexing
-// and value-dependent branches (which make kernels trace-impure), in-loop
-// stores, and partial warps.
+// the event-driven engine vs. the cycle-stepped SmRef (KernelStats, on
+// 1- and 2-SM machines). The generator covers ragged guards, nested
+// loops, data-dependent indexing and value-dependent branches (which make
+// kernels trace-impure), in-loop stores, and partial warps.
 //
 // A second stage fuzzes SIMT divergence: kernels whose control flow
 // branches on loaded values (data-dependent while trip counts, if/else
@@ -401,110 +401,23 @@ TEST(FuzzKernel, DifferentialVmDedupAndEngines) {
     }
 
     // 3. Event-driven engine vs. cycle-stepped SmRef, occasionally with a
-    //    TB cap (refill/barrier interleavings) and the request series.
+    //    TB cap (refill/barrier interleavings) and the request series. The
+    //    2-SM machine adds same-cycle multi-SM L2/DRAM ordering.
     SimOptions opts;
     Rng orng(seed ^ 0x0975);
     if (orng.next_below(4) == 0) opts.tb_cap = 1;
     opts.collect_request_trace = orng.next_below(4) == 0;
     SimOptions opts_ref = opts;
     opts_ref.use_stepped_reference = true;
-    DeviceMemory mem_ev, mem_sr;
-    setup_memory(mem_ev, seed, g);
-    setup_memory(mem_sr, seed, g);
-    Gpu gpu_ev(arch::GpuArch::titan_v(1), mem_ev);
-    Gpu gpu_sr(arch::GpuArch::titan_v(1), mem_sr);
     const LaunchSpec spec{&kern, g.launch, g.params};
-    expect_stats_equal(gpu_ev.run(spec, opts), gpu_sr.run(spec, opts_ref));
-    if (::testing::Test::HasFatalFailure()) return;
-
-    // 4. Parallel engine vs. serial on a 2-SM machine: the deterministic
-    //    window/merge design (src/gpusim/parallel.hpp) promises results
-    //    bit-identical to the serial event loop at any thread count, down
-    //    to the engine-internal step counters (no policy is installed, so
-    //    even trailing idle steps cannot diverge).
-    {
-      SimOptions opts_serial = opts;
-      opts_serial.sim_threads = 1;
-      SimOptions opts_par = opts;
-      opts_par.sim_threads = 4;
-      DeviceMemory mem_s, mem_p;
-      setup_memory(mem_s, seed, g);
-      setup_memory(mem_p, seed, g);
-      Gpu gpu_s(arch::GpuArch::titan_v(2), mem_s);
-      Gpu gpu_p(arch::GpuArch::titan_v(2), mem_p);
-      const KernelStats serial = gpu_s.run(spec, opts_serial);
-      const KernelStats par = gpu_p.run(spec, opts_par);
-      expect_stats_equal(par, serial);
-      EXPECT_EQ(par.sm_steps, serial.sm_steps);
-      EXPECT_EQ(par.warps_scanned, serial.warps_scanned);
-      EXPECT_EQ(par.queue_pops, serial.queue_pops);
-      expect_memory_equal(mem_s, mem_p);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-
-    // 5. Trace-worker sharding x render cache vs. the serial producer
-    //    (trace-pure kernels under dedup, where sharding can engage): the
-    //    N-worker pipeline and the delta-keyed render cache both promise
-    //    bit-identical traces, so every stat the timing engine derives
-    //    from them must match the serial single-producer run exactly.
-    if (pure) {
-      auto run_tracegen = [&](int trace_threads, bool render_cache) {
-        SimOptions o = opts;
-        o.skip_functional = true;
-        o.trace_key = seed | 1;
-        o.sim_threads = 1;
-        o.trace_threads = trace_threads;
-        o.render_cache = render_cache;
-        DeviceMemory m;
-        setup_memory(m, seed, g);
-        Gpu gpu(arch::GpuArch::titan_v(2), m);
-        return gpu.run(spec, o);
-      };
-      const KernelStats base = run_tracegen(1, false);
-      const struct { int workers; bool cache; } grid[] = {{1, true}, {4, true}, {4, false}};
-      for (const auto& cfg : grid) {
-        const KernelStats got = run_tracegen(cfg.workers, cfg.cache);
-        SCOPED_TRACE("trace_threads=" + std::to_string(cfg.workers) +
-                     " render_cache=" + std::to_string(cfg.cache));
-        expect_stats_equal(got, base);
-        EXPECT_EQ(got.sm_steps, base.sm_steps);
-        EXPECT_EQ(got.warps_scanned, base.warps_scanned);
-        EXPECT_EQ(got.queue_pops, base.queue_pops);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-
-    // 6. Adaptive policy under the parallel engine: the feedback loop
-    //    (interval sampling -> windowed controller -> issue vetoes) runs
-    //    entirely on simulated state, so the decision *sequence* — not
-    //    just the aggregate stats — must be bit-identical between the
-    //    serial event loop and the parallel lanes. Aggressive knobs
-    //    (short interval, small window, no cooldown slack) so random
-    //    kernels actually trip decisions now and then.
-    {
-      SimOptions opts_serial = opts;
-      opts_serial.sched =
-          sched::PolicyConfig::parse("adaptive:interval=512,window=2,cooldown=1");
-      opts_serial.sim_threads = 1;
-      SimOptions opts_par = opts_serial;
-      opts_par.sim_threads = 4;
-      DeviceMemory mem_s, mem_p;
-      setup_memory(mem_s, seed, g);
-      setup_memory(mem_p, seed, g);
-      Gpu gpu_s(arch::GpuArch::titan_v(2), mem_s);
-      Gpu gpu_p(arch::GpuArch::titan_v(2), mem_p);
-      const KernelStats serial = gpu_s.run(spec, opts_serial);
-      const KernelStats par = gpu_p.run(spec, opts_par);
-      expect_stats_equal(par, serial);
-      EXPECT_EQ(par.sched_updates, serial.sched_updates);
-      EXPECT_EQ(par.sched_vetoes, serial.sched_vetoes);
-      EXPECT_EQ(par.sched_throttle_level, serial.sched_throttle_level);
-      ASSERT_EQ(par.sched_decisions.size(), serial.sched_decisions.size());
-      for (std::size_t i = 0; i < par.sched_decisions.size(); ++i) {
-        EXPECT_TRUE(par.sched_decisions[i] == serial.sched_decisions[i])
-            << "decision " << i << " diverged";
-      }
-      expect_memory_equal(mem_s, mem_p);
+    for (const int sms : {1, 2}) {
+      SCOPED_TRACE("event-vs-stepped sms=" + std::to_string(sms));
+      DeviceMemory mem_ev, mem_sr;
+      setup_memory(mem_ev, seed, g);
+      setup_memory(mem_sr, seed, g);
+      Gpu gpu_ev(arch::GpuArch::titan_v(sms), mem_ev);
+      Gpu gpu_sr(arch::GpuArch::titan_v(sms), mem_sr);
+      expect_stats_equal(gpu_ev.run(spec, opts), gpu_sr.run(spec, opts_ref));
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -518,15 +431,11 @@ TEST(FuzzKernel, DifferentialVmDedupAndEngines) {
 }
 
 // SIMT-divergence stage: kernels branch on loaded values, so warps split
-// and reconverge at runtime. Four oracle pairs per kernel, all including
+// and reconverge at runtime. Two oracle pairs per kernel, both including
 // the per-lane counters the reconvergence stack produces (lane_work per
 // event, DivCounters per warp, lane_cycles/lane_mem_insts/div per launch):
 //   1. bytecode VM vs. tree-walk reference (traces + functional memory)
-//   2. event-driven engine vs. cycle-stepped SmRef
-//   3. serial vs. parallel timing (CATT_SIM_THREADS equivalence)
-//   4. trace_threads=4 vs. serial trace generation — divergent kernels are
-//      trace-impure, so this pins the clean fall-back to non-renderable
-//      per-warp execution (sharding must not engage or must be exact).
+//   2. event-driven engine vs. cycle-stepped SmRef on 1- and 2-SM machines
 TEST(FuzzKernel, DivergentDifferential) {
   const std::uint64_t master_seed = env_u64("CATT_FUZZ_SEED", 0xD177F022ULL);
   const std::uint64_t count = env_u64("CATT_FUZZ_KERNELS", 200);
@@ -567,54 +476,14 @@ TEST(FuzzKernel, DivergentDifferential) {
     SimOptions opts_ref = opts;
     opts_ref.use_stepped_reference = true;
     const LaunchSpec spec{&kern, g.launch, g.params};
-    {
+    for (const int sms : {1, 2}) {
+      SCOPED_TRACE("event-vs-stepped sms=" + std::to_string(sms));
       DeviceMemory mem_ev, mem_sr;
       setup_memory(mem_ev, seed, g);
       setup_memory(mem_sr, seed, g);
-      Gpu gpu_ev(arch::GpuArch::titan_v(1), mem_ev);
-      Gpu gpu_sr(arch::GpuArch::titan_v(1), mem_sr);
+      Gpu gpu_ev(arch::GpuArch::titan_v(sms), mem_ev);
+      Gpu gpu_sr(arch::GpuArch::titan_v(sms), mem_sr);
       expect_stats_equal(gpu_ev.run(spec, opts), gpu_sr.run(spec, opts_ref));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-
-    // 3. Serial vs. parallel timing engine on a 2-SM machine.
-    {
-      SimOptions opts_serial = opts;
-      opts_serial.sim_threads = 1;
-      SimOptions opts_par = opts;
-      opts_par.sim_threads = 4;
-      DeviceMemory mem_s, mem_p;
-      setup_memory(mem_s, seed, g);
-      setup_memory(mem_p, seed, g);
-      Gpu gpu_s(arch::GpuArch::titan_v(2), mem_s);
-      Gpu gpu_p(arch::GpuArch::titan_v(2), mem_p);
-      const KernelStats serial = gpu_s.run(spec, opts_serial);
-      const KernelStats par = gpu_p.run(spec, opts_par);
-      expect_stats_equal(par, serial);
-      EXPECT_EQ(par.sm_steps, serial.sm_steps);
-      EXPECT_EQ(par.warps_scanned, serial.warps_scanned);
-      EXPECT_EQ(par.queue_pops, serial.queue_pops);
-      expect_memory_equal(mem_s, mem_p);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-
-    // 4. Trace-worker equivalence on impure kernels: the pipeline must
-    //    fall back to concrete per-warp execution and stay bit-identical
-    //    at any worker count.
-    {
-      auto run_tracegen = [&](int trace_threads) {
-        SimOptions o = opts;
-        o.sim_threads = 1;
-        o.trace_threads = trace_threads;
-        DeviceMemory m;
-        setup_memory(m, seed, g);
-        Gpu gpu(arch::GpuArch::titan_v(2), m);
-        return gpu.run(spec, o);
-      };
-      const KernelStats base = run_tracegen(1);
-      const KernelStats got = run_tracegen(4);
-      SCOPED_TRACE("trace_threads=4 (impure fall-back)");
-      expect_stats_equal(got, base);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

@@ -120,6 +120,15 @@ TEST(SpecParser, RejectsMalformedSpecsAndStrayKeys) {
   const harness::SpecParser p = harness::SpecParser::parse("dir:max_mb=-3,evict=fifo");
   EXPECT_THROW((void)p.int_or("max_mb", 0), Error);  // positive integers only
   EXPECT_THROW((void)p.enum_or("evict", {"lru", "none"}, "lru"), Error);
+
+  // Above the caller's bound (an int field here) or past int64: rejected,
+  // never wrapped or saturated.
+  const harness::SpecParser big =
+      harness::SpecParser::parse("fixed:n=4294967296,tb=99999999999999999999");
+  EXPECT_THROW((void)big.int_or("n", 1, 2147483647), Error);
+  EXPECT_THROW((void)big.int_or("tb", 0), Error);
+  EXPECT_EQ(harness::SpecParser::parse("fixed:n=2147483647").int_or("n", 1, 2147483647),
+            2147483647);
 }
 
 TEST(FlagOrEnv, LastFlagWinsThenEnvThenEmpty) {
@@ -182,10 +191,20 @@ TEST(CacheFromArgsDeathTest, BadSpecExitsTwo) {
   char* argv_typo[] = {arg0, typo};
   EXPECT_EXIT((void)bench::cache_from_args(2, argv_typo), ::testing::ExitedWithCode(2),
               "bad spec");
+  // max_mb * 2^20 must not wrap to a small (or zero = unbounded) budget,
+  // and strtoll's ERANGE saturation must not pass as a value.
+  char wraps[] = "--cache=dir:path=/tmp/x,max_mb=17592186044416";
+  char* argv_wraps[] = {arg0, wraps};
+  EXPECT_EXIT((void)bench::cache_from_args(2, argv_wraps), ::testing::ExitedWithCode(2),
+              "max_mb");
+  char saturates[] = "--cache=dir:path=/tmp/x,max_mb=99999999999999999999999";
+  char* argv_saturates[] = {arg0, saturates};
+  EXPECT_EXIT((void)bench::cache_from_args(2, argv_saturates), ::testing::ExitedWithCode(2),
+              "max_mb");
 }
 
 }  // namespace
-// Appended: daemon auto-detection (--sim-threads= plumbing rides along).
+// Appended: daemon auto-detection.
 // The contract under test: a dead or stale CATT_SERVE_SOCKET must degrade
 // to local simulation — client_from_env() returns null and an AutoRunner
 // still answers run() with the local Runner's (byte-identical) result —
@@ -193,38 +212,6 @@ TEST(CacheFromArgsDeathTest, BadSpecExitsTwo) {
 #include "workloads/workload.hpp"
 
 namespace {
-
-TEST(SimThreadsFromArgs, ParsesFlagEnvAndDefault) {
-  {
-    const ScopedEnv env("CATT_SIM_THREADS", "");
-    char arg0[] = "bench";
-    char* argv0[] = {arg0};
-    EXPECT_EQ(bench::sim_threads_from_args(1, argv0), 0);
-
-    char arg1[] = "--sim-threads=4";
-    char* argv1[] = {arg0, arg1};
-    EXPECT_EQ(bench::sim_threads_from_args(2, argv1), 4);
-  }
-  {
-    const ScopedEnv env("CATT_SIM_THREADS", "2");
-    char arg0[] = "bench";
-    char* argv0[] = {arg0};
-    EXPECT_EQ(bench::sim_threads_from_args(1, argv0), 2);
-  }
-}
-
-TEST(SimThreadsFromArgsDeathTest, BadValueExitsTwo) {
-  const ScopedEnv env("CATT_SIM_THREADS", "");
-  char arg0[] = "bench";
-  char bad[] = "--sim-threads=fast";
-  char* argv_bad[] = {arg0, bad};
-  EXPECT_EXIT((void)bench::sim_threads_from_args(2, argv_bad), ::testing::ExitedWithCode(2),
-              "non-negative integer");
-  char neg[] = "--sim-threads=-1";
-  char* argv_neg[] = {arg0, neg};
-  EXPECT_EXIT((void)bench::sim_threads_from_args(2, argv_neg), ::testing::ExitedWithCode(2),
-              "non-negative integer");
-}
 
 TEST(ClientFromEnv, UnsetReturnsNull) {
   const ScopedEnv env("CATT_SERVE_SOCKET", "");

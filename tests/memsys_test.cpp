@@ -271,16 +271,13 @@ __global__ void thrash(float *data, float *out, int N) {
 
 }  // namespace
 }  // namespace catt::sim
-// Appended: the parallel engine's deterministic L2 merge. An adversarial
-// machine — four SMs, two MSHRs each, a near-degenerate L2 pipeline —
-// makes every window a same-cycle multi-SM probe storm: homogeneous
-// blocks issue their loads at identical cycles on every SM, in-flight
-// fills are shared across partitions, and the tiny MSHR ring keeps lanes
-// stalling on slots whose completion is itself a deferred response. The
-// merge key (cycle, sm, txn_seq) must reproduce the serial engine's
-// memory-system call order exactly, so KernelStats — including the
-// engine-internal step counters and the interval series — are pinned
-// bit-identical at every thread count.
+// Same-cycle multi-SM probe storms on an adversarial machine — four SMs,
+// two MSHRs each, a near-degenerate L2 pipeline: homogeneous blocks issue
+// their loads at identical cycles on every SM, fills are shared across
+// SMs, and the tiny MSHR ring keeps warps stalling on busy slots. The
+// event engine's calendar order must reproduce the stepped reference's
+// ascending-SM memory-system call order exactly, so cycles and every
+// cache, DRAM and instruction count are pinned equal.
 namespace catt::sim {
 namespace {
 
@@ -288,7 +285,7 @@ TEST(ParallelMerge, ProbeStormMatchesSerialAtAllThreadCounts) {
   // Divergent stride (i * 16 floats = one line per lane) so each memory
   // instruction fans out to many lines and exhausts the 2-slot MSHR ring;
   // a shared vector (data[j]) so the same lines are in flight on all SMs
-  // at once and L2 merge order decides hit-vs-miss.
+  // at once and L2 arrival order decides hit-vs-miss.
   const ir::Kernel k = frontend::parse_kernel(R"(
 //@regs=16
 __global__ void storm(float *data, float *shared_v, float *out, int N) {
@@ -308,71 +305,34 @@ __global__ void storm(float *data, float *shared_v, float *out, int N) {
   const arch::LaunchConfig launch{{16}, {64}};
   const expr::ParamEnv params{{"N", 1024}};
 
-  auto run_at = [&](int threads, std::vector<obs::LaunchSeries>* series) {
+  auto run = [&](bool stepped) {
     DeviceMemory mem;
     mem.alloc_f32("data", 1024u * 16u + 32u, 1.0f);
     mem.alloc_f32("shared_v", 24u * 16u, 2.0f);
     mem.alloc_f32("out", 1024, 0.0f);
     Gpu gpu(storm_arch, mem);
-    obs::Registry reg;
-    obs::SimObs ob;
-    ob.metrics_interval = 256;
-    ob.registry = &reg;
-    ob.on_series = [&](const obs::LaunchSeries& s) { series->push_back(s); };
     SimOptions opts;
-    opts.sim_threads = threads;
-    opts.obs = &ob;
+    opts.use_stepped_reference = stepped;
     return gpu.run({&k, launch, params}, opts);
   };
 
-  std::vector<obs::LaunchSeries> serial_series;
-  const KernelStats serial = run_at(1, &serial_series);
-  ASSERT_EQ(serial_series.size(), 1u);
-  EXPECT_GT(serial.l1.misses, 0u);
-  EXPECT_GT(serial.l2.hits, 0u);  // cross-SM reuse actually happened
-  ASSERT_GE(serial_series[0].samples.size(), 3u) << "storm too short to sample";
+  const KernelStats ev = run(false);
+  const KernelStats ref = run(true);
+  EXPECT_GT(ev.l1.misses, 0u);
+  EXPECT_GT(ev.l2.hits, 0u);  // cross-SM reuse actually happened
 
-  for (const int threads : {2, 4}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    std::vector<obs::LaunchSeries> par_series;
-    const KernelStats par = run_at(threads, &par_series);
-
-    EXPECT_EQ(par.cycles, serial.cycles);
-    EXPECT_EQ(par.l1.accesses, serial.l1.accesses);
-    EXPECT_EQ(par.l1.hits, serial.l1.hits);
-    EXPECT_EQ(par.l1.misses, serial.l1.misses);
-    EXPECT_EQ(par.l1.store_accesses, serial.l1.store_accesses);
-    EXPECT_EQ(par.l2.accesses, serial.l2.accesses);
-    EXPECT_EQ(par.l2.hits, serial.l2.hits);
-    EXPECT_EQ(par.l2.misses, serial.l2.misses);
-    EXPECT_EQ(par.dram_lines, serial.dram_lines);
-    EXPECT_EQ(par.warp_insts, serial.warp_insts);
-    EXPECT_EQ(par.mem_insts, serial.mem_insts);
-    EXPECT_EQ(par.mem_requests, serial.mem_requests);
-    EXPECT_EQ(par.sm_steps, serial.sm_steps);
-    EXPECT_EQ(par.warps_scanned, serial.warps_scanned);
-    EXPECT_EQ(par.queue_pops, serial.queue_pops);
-
-    // Interval samples: every boundary's cumulative counters, not just
-    // the end state, must be reproduced — the sampler reads mid-launch
-    // state, so any merge-order slip shows up here first.
-    ASSERT_EQ(par_series.size(), 1u);
-    const auto& ss = serial_series[0].samples;
-    const auto& ps = par_series[0].samples;
-    ASSERT_EQ(ps.size(), ss.size());
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      SCOPED_TRACE("sample " + std::to_string(i));
-      EXPECT_EQ(ps[i].cycle, ss[i].cycle);
-      EXPECT_EQ(ps[i].warp_insts, ss[i].warp_insts);
-      EXPECT_EQ(ps[i].l1_accesses, ss[i].l1_accesses);
-      EXPECT_EQ(ps[i].l1_hits, ss[i].l1_hits);
-      EXPECT_EQ(ps[i].l2_accesses, ss[i].l2_accesses);
-      EXPECT_EQ(ps[i].l2_hits, ss[i].l2_hits);
-      EXPECT_EQ(ps[i].dram_lines, ss[i].dram_lines);
-      EXPECT_EQ(ps[i].mshr_in_flight, ss[i].mshr_in_flight);
-      EXPECT_EQ(ps[i].ready_warps, ss[i].ready_warps);
-    }
-  }
+  EXPECT_EQ(ev.cycles, ref.cycles);
+  EXPECT_EQ(ev.l1.accesses, ref.l1.accesses);
+  EXPECT_EQ(ev.l1.hits, ref.l1.hits);
+  EXPECT_EQ(ev.l1.misses, ref.l1.misses);
+  EXPECT_EQ(ev.l1.store_accesses, ref.l1.store_accesses);
+  EXPECT_EQ(ev.l2.accesses, ref.l2.accesses);
+  EXPECT_EQ(ev.l2.hits, ref.l2.hits);
+  EXPECT_EQ(ev.l2.misses, ref.l2.misses);
+  EXPECT_EQ(ev.dram_lines, ref.dram_lines);
+  EXPECT_EQ(ev.warp_insts, ref.warp_insts);
+  EXPECT_EQ(ev.mem_insts, ref.mem_insts);
+  EXPECT_EQ(ev.mem_requests, ref.mem_requests);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 // covered by timing_test/runner_test/fuzz_kernel_test.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/error.hpp"
 #include "gpusim/sched/policy.hpp"
 #include "policy/engine.hpp"
@@ -255,6 +258,26 @@ TEST(AdaptiveConfig, RejectsUnknownAndForeignKnobs) {
   // 'tags' is a CCWS knob; the adaptive kind must not silently accept it.
   EXPECT_THROW(PolicyConfig::parse("adaptive:tags=8"), SimError);
   EXPECT_THROW(PolicyConfig::parse("adaptive:window=-1"), SimError);
+}
+
+// Integers that do not fit the config field are rejected, never wrapped
+// (window=2^32 used to parse as 0 and silently disable the controller)
+// or saturated (strtoll's ERANGE).
+TEST(AdaptiveConfig, RejectsOutOfRangeIntegers) {
+  EXPECT_THROW(PolicyConfig::parse("adaptive:window=4294967296"), SimError);
+  EXPECT_THROW(PolicyConfig::parse("adaptive:cooldown=4294967295"), SimError);
+  EXPECT_THROW(PolicyConfig::parse("adaptive:max_drop=2147483648"), SimError);
+  EXPECT_THROW(PolicyConfig::parse("ccws:min_active=2147483648"), SimError);
+  EXPECT_THROW(PolicyConfig::parse("dyncta:min_tbs=-2147483649"), SimError);
+  EXPECT_THROW(PolicyConfig::parse("dyncta:interval=99999999999999999999999"), SimError);
+  EXPECT_THROW(PolicyConfig::parse("ccws:interval=-99999999999999999999999"), SimError);
+
+  // The edges of each range still parse.
+  EXPECT_EQ(PolicyConfig::parse("adaptive:window=2147483647").adaptive_window, 2147483647);
+  EXPECT_EQ(PolicyConfig::parse("adaptive:cooldown=0").adaptive_cooldown, 0);
+  EXPECT_EQ(PolicyConfig::parse("ccws:min_active=2147483647").ccws_min_active, 2147483647);
+  EXPECT_EQ(PolicyConfig::parse("dyncta:interval=9223372036854775807").update_interval,
+            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(AdaptiveConfig, FingerprintSeparatesConfigs) {

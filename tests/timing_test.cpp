@@ -92,141 +92,6 @@ TEST(TimingEngine, MatchesReferenceUnderTbCapAndRequestTrace) {
   run_workload_both_engines(wl::find_workload("hp", 2), opts);
 }
 
-// The delta-keyed render cache is a pure trace-generation speed knob: a
-// dedup'd schedule run with the cache on (and trace workers sharded) must
-// produce per-launch KernelStats and interval-sampler series bit-identical
-// to the cache-off serial-producer run.
-TEST(TimingEngine, RenderCacheDoesNotPerturbStatsOrIntervalSamples) {
-  const wl::Workload& w = wl::find_workload("atax", 2);
-  struct RunOut {
-    std::vector<KernelStats> stats;
-    std::vector<obs::LaunchSeries> series;
-  };
-  auto run_schedule = [&](int trace_threads, bool render_cache) {
-    RunOut out;
-    obs::Registry registry;  // local: keeps the process registry test-clean
-    obs::SimObs so;
-    so.metrics_interval = 2048;
-    so.registry = &registry;
-    so.on_series = [&](const obs::LaunchSeries& s) { out.series.push_back(s); };
-    DeviceMemory mem;
-    w.setup(mem);
-    Gpu gpu(arch::GpuArch::titan_v(2), mem);
-    for (std::size_t e = 0; e < w.schedule.size(); ++e) {
-      const wl::KernelRun& run = w.schedule[e];
-      SimOptions o;
-      o.skip_functional = true;
-      o.trace_key = e + 1;  // per-entry keys: repeats of an entry share traces
-      o.sim_threads = 1;
-      o.trace_threads = trace_threads;
-      o.render_cache = render_cache;
-      o.obs = &so;
-      const LaunchSpec spec{&w.kernel(run.kernel), run.launch, run.params};
-      out.stats.push_back(gpu.run(spec, o));
-    }
-    return out;
-  };
-  const RunOut base = run_schedule(1, false);
-  const RunOut cached = run_schedule(4, true);
-  ASSERT_EQ(base.stats.size(), cached.stats.size());
-  for (std::size_t i = 0; i < base.stats.size(); ++i) {
-    expect_stats_equal(cached.stats[i], base.stats[i],
-                       "render-cache launch " + std::to_string(i));
-  }
-  ASSERT_EQ(base.series.size(), cached.series.size());
-  EXPECT_FALSE(base.series.empty());  // guard: an empty-vs-empty pass pins nothing
-  for (std::size_t i = 0; i < base.series.size(); ++i) {
-    EXPECT_EQ(cached.series[i].kernel, base.series[i].kernel) << "series " << i;
-    EXPECT_EQ(cached.series[i].interval, base.series[i].interval) << "series " << i;
-    EXPECT_EQ(cached.series[i].csv_rows(), base.series[i].csv_rows()) << "series " << i;
-  }
-}
-
-// The render cache's hit path itself. The workload suite indexes every
-// array by global id, so block coordinates enter every delta key and the
-// cache only ever misses there; this kernel's addresses never involve
-// blockIdx, making every block's per-event translate deltas all-zero —
-// the one shape where keys collide — so hits (lookup, refcounted trace
-// share, byte accounting) are actually exercised and counted exactly.
-TEST(TimingEngine, RenderCacheHitsOnBlockInvariantKernel) {
-  const char* src =
-      "//@regs=16\n"
-      "__global__ void block_invariant(float *A, float *C, int T) {\n"
-      "    int t = threadIdx.x;\n"
-      "    float acc = 0.25f;\n"
-      "    for (int j = 0; j < T; j++) {\n"
-      "        acc += A[t * 2 + j];\n"
-      "    }\n"
-      "    C[t] = acc;\n"
-      "}\n";
-  const std::vector<ir::Kernel> kernels = frontend::parse_program(src);
-  ASSERT_EQ(kernels.size(), 1u);
-  arch::LaunchConfig launch;
-  launch.block = arch::Dim3{64};  // 2 warps per block
-  launch.grid = arch::Dim3{6};
-  const expr::ParamEnv params{{"T", 4}};
-
-  struct Leg {
-    KernelStats first, second;
-    std::uint64_t hits = 0;
-    std::uint64_t bytes_saved = 0;
-  };
-  // Two launches on one Gpu (the dedup table is per-Gpu): launch 1
-  // symbolizes, then renders all six blocks; launch 2 renders all six
-  // from the cached entry. Counters are read cumulatively over both.
-  auto run = [&](int trace_threads, bool render_cache) {
-    Leg leg;
-    obs::Registry registry;
-    obs::SimObs so;
-    so.metrics_interval = 1 << 20;  // > kernel cycles: activates obs, no samples
-    so.registry = &registry;
-    SimOptions o;
-    o.skip_functional = true;
-    o.trace_key = 0x6b1;
-    o.sim_threads = 1;
-    o.trace_threads = trace_threads;
-    o.render_cache = render_cache;
-    o.obs = &so;
-    DeviceMemory mem;
-    mem.alloc_f32("A", 4096, 0.5f);
-    mem.alloc_f32("C", 4096, 0.0f);
-    Gpu gpu(arch::GpuArch::titan_v(2), mem);
-    const LaunchSpec spec{&kernels[0], launch, params};
-    leg.first = gpu.run(spec, o);
-    leg.second = gpu.run(spec, o);
-    const obs::Registry::Snapshot snap = registry.scrape();
-    leg.hits = snap.counter_or("sim.tracegen.render_cache_hits");
-    leg.bytes_saved = snap.counter_or("sim.tracegen.render_cache_bytes_saved");
-    return leg;
-  };
-
-  // Cache off: renders happen, lookups don't.
-  const Leg base = run(1, false);
-  EXPECT_EQ(base.hits, 0u);
-  EXPECT_EQ(base.bytes_saved, 0u);
-
-  // Serial producer: deterministic hit counts. Each launch renders all six
-  // blocks (block 0 included); per warp id, one render misses and the
-  // other five blocks hit (10 per launch).
-  const Leg serial = run(1, true);
-  expect_stats_equal(serial.first, base.first, "render-cache hit launch 1");
-  expect_stats_equal(serial.second, base.second, "render-cache hit launch 2");
-  EXPECT_EQ(serial.hits, 20u);
-  EXPECT_GT(serial.bytes_saved, 0u);
-
-  // Sharded workers race misses on the same key (first insert wins, the
-  // losers' renders are discarded), so only a band is deterministic: with
-  // 4 workers at most 4 in-flight misses per warp id, leaving at least
-  // one hit per warp; in both launches block 0 is rendered by the leader's
-  // serial pre-pass, which seeds the cache before sharding begins.
-  const Leg sharded = run(4, true);
-  expect_stats_equal(sharded.first, base.first, "sharded render-cache launch 1");
-  expect_stats_equal(sharded.second, base.second, "sharded render-cache launch 2");
-  EXPECT_GE(sharded.hits, 12u);
-  EXPECT_LE(sharded.hits, 20u);
-  EXPECT_GT(sharded.bytes_saved, 0u);
-}
-
 // Dedup attribution through the obs registry: a launch that symbolizes
 // exports each failed warp under sim.dedup.bail.<reason> and its cost
 // under sim.dedup.symbolize_us; a launch that reuses the cached entry adds
@@ -252,8 +117,6 @@ __global__ void corr_like(float *data, float *symmat, int M, int N, int K) {
   // across launches, so each launch is compared with its own position).
   SimOptions plain;
   plain.skip_functional = true;
-  plain.sim_threads = 1;
-  plain.trace_threads = 1;
   DeviceMemory ref_mem;
   ref_mem.alloc_f32("data", 512, 1.0f);
   ref_mem.alloc_f32("symmat", 256 * 256, 0.0f);
