@@ -24,7 +24,11 @@ std::string choice_string(const std::vector<catt::throttle::KernelChoice>& choic
   for (const auto& c : choices) {
     for (const auto& l : c.loops) {
       if (!out.empty()) out += " ";
-      out += "(" + std::to_string(l.warps) + "," + std::to_string(l.tbs) + ")";
+      out += '(';
+      out += std::to_string(l.warps);
+      out += ',';
+      out += std::to_string(l.tbs);
+      out += ')';
       if (l.unresolvable) out += "*";
     }
   }

@@ -13,7 +13,12 @@ namespace {
 using namespace catt;
 
 std::string tlp(int warps, int tbs) {
-  return "(" + std::to_string(warps) + "," + std::to_string(tbs) + ")";
+  std::string s = "(";
+  s += std::to_string(warps);
+  s += ',';
+  s += std::to_string(tbs);
+  s += ')';
+  return s;
 }
 
 std::string bftt_tlp_for(const throttle::FixedFactor& f, const occupancy::Occupancy& occ) {

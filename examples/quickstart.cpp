@@ -10,6 +10,8 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "arch/gpu_arch.hpp"
 #include "catt/analysis.hpp"
@@ -92,8 +94,15 @@ int main() {
               base_stats.occ.tlp_string().c_str());
   std::string catt_tlp = "?";
   if (!ka.loops.empty()) {
-    catt_tlp = "(" + std::to_string(ka.occ.warps_per_tb / ka.loops[0].decision.n_divisor) + "," +
-               std::to_string(ka.occ.tbs_per_sm) + ")";
+    // Built piecewise, then moved in: `"(" + std::to_string(...)` and
+    // assigning a literal both trip GCC 12's -Wrestrict false positive
+    // (GCC bug 105329) in Release builds.
+    std::string tlp = "(";
+    tlp += std::to_string(ka.occ.warps_per_tb / ka.loops[0].decision.n_divisor);
+    tlp += ',';
+    tlp += std::to_string(ka.occ.tbs_per_sm);
+    tlp += ')';
+    catt_tlp = std::move(tlp);
   }
   std::printf("CATT:     %lld cycles, L1D hit rate %.1f%% (TLP %s inside throttled loops)\n",
               static_cast<long long>(catt_stats.cycles), 100.0 * catt_stats.l1_hit_rate(),

@@ -5,7 +5,16 @@
 namespace catt::arch {
 
 std::string to_string(const Dim3& d) {
-  return "(" + std::to_string(d.x) + "," + std::to_string(d.y) + "," + std::to_string(d.z) + ")";
+  // Appended piecewise: `"(" + std::to_string(...)` trips GCC 12's
+  // -Wrestrict false positive (GCC bug 105329) in Release builds.
+  std::string s = "(";
+  s += std::to_string(d.x);
+  s += ',';
+  s += std::to_string(d.y);
+  s += ',';
+  s += std::to_string(d.z);
+  s += ')';
+  return s;
 }
 
 int LaunchConfig::warps_per_block(int warp_size) const {

@@ -466,7 +466,8 @@ class Parser {
           is_punct(".", 1)) {
         std::string full = next().text;
         next();  // '.'
-        full += "." + expect_ident();
+        full += '.';
+        full += expect_ident();
         auto it = kBuiltinMembers.find(full);
         if (it == kBuiltinMembers.end()) fail("unknown builtin '" + full + "'");
         return expr::builtin(it->second);

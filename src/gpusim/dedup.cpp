@@ -5,6 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "gpusim/simd.hpp"
@@ -93,10 +95,17 @@ struct Bail {
 /// through arithmetic but must never reach a trace-relevant decision.
 /// `bvar` (a subset of `poison`) marks the lanes whose value is unknown
 /// because it varies with the block; it only selects the BailReason.
+///
+/// `blk` is false only when every lane's cx, cy and cz are zero, so the
+/// value is block-invariant; true may be conservative. Handlers whose
+/// operands are all block-invariant compute `b` alone (what the VM
+/// computes), and every handler that writes a register keeps the flag
+/// exact or sets it conservatively.
 struct SInt {
   std::array<std::int64_t, kWarp> b{}, cx{}, cy{}, cz{};
   Mask poison = 0;
   Mask bvar = 0;
+  bool blk = false;
 };
 
 /// Per-lane float vector; block-dependent floats are simply poisoned
@@ -125,8 +134,25 @@ struct SymRec {
   bool is_store = false;
   std::int64_t dx = 0, dy = 0, dz = 0;  // byte deltas; uniform across all accesses
   bool have_delta = false;
+  /// True while the record holds one full-warp access whose lanes ascend
+  /// as first + l*stride (the common case); `addrs` is then empty.
+  bool prog = false;
+  std::uint64_t first = 0, stride = 0;
   std::vector<std::uint64_t> addrs;
 };
+
+/// The stride when non-empty `addrs` ascend as addrs[0] + i*stride. The
+/// addresses of one record lie in one array, so a progression with a
+/// stride below 2^63 is sorted.
+std::optional<std::uint64_t> progression(const std::vector<std::uint64_t>& addrs) {
+  if (addrs.empty()) return std::nullopt;
+  const std::uint64_t stride = addrs.size() > 1 ? addrs[1] - addrs[0] : 0;
+  if (static_cast<std::int64_t>(stride) < 0) return std::nullopt;
+  std::uint64_t mismatch = 0;
+  for (std::size_t i = 2; i < addrs.size(); ++i) mismatch |= (addrs[i] - addrs[i - 1]) ^ stride;
+  if (mismatch != 0) return std::nullopt;
+  return stride;
+}
 
 constexpr Mask bit(int l) { return Mask{1} << l; }
 constexpr Mask kAllLanes = ~Mask{0};
@@ -134,6 +160,79 @@ constexpr Mask kAllLanes = ~Mask{0};
 /// Reason for an unknown lane of a value whose block-derived lanes are `bvar`.
 BailReason unknown_reason(Mask bvar, int l) {
   return (bvar & bit(l)) != 0 ? BailReason::kBlockDependent : BailReason::kPoisoned;
+}
+
+/// Makes `d` block-invariant, zeroing its coefficients if any may be set.
+void clear_coeffs(SInt& d) {
+  if (!d.blk) return;
+  d.cx.fill(0);
+  d.cy.fill(0);
+  d.cz.fill(0);
+  d.blk = false;
+}
+
+/// Exact block dependence of `d`, read from its coefficients.
+bool any_coeff(const SInt& d) {
+  std::int64_t nz = 0;
+  for (int l = 0; l < kWarp; ++l) nz |= d.cx[l] | d.cy[l] | d.cz[l];
+  return nz != 0;
+}
+
+/// d.b[l] = f(a.b[l], b.b[l]) on every lane (block-invariant operands).
+template <class F>
+void map_b(SInt& d, const SInt& a, const SInt& b, F f) {
+  for (int l = 0; l < kWarp; ++l) d.b[l] = f(a.b[l], b.b[l]);
+}
+
+/// d = f(a, b) for an f that is linear in both operands (add, sub): the
+/// coefficients follow the base values, and are skipped when neither
+/// operand depends on the block.
+template <class F>
+void map_affine(SInt& d, const SInt& a, const SInt& b, F f) {
+  map_b(d, a, b, f);
+  if (!a.blk && !b.blk) {
+    clear_coeffs(d);
+    return;
+  }
+  std::int64_t nz = 0;
+  for (int l = 0; l < kWarp; ++l) {
+    d.cx[l] = f(a.cx[l], b.cx[l]);
+    d.cy[l] = f(a.cy[l], b.cy[l]);
+    d.cz[l] = f(a.cz[l], b.cz[l]);
+    nz |= d.cx[l] | d.cy[l] | d.cz[l];
+  }
+  d.blk = nz != 0;
+}
+
+/// The VM's kCmpI on the base values: 1/0 per lane, 0 for an operator
+/// that is not a comparison.
+void compare_b(expr::BinOp op, SInt& d, const SInt& a, const SInt& b) {
+  using expr::BinOp;
+  using V = std::int64_t;
+  switch (op) {
+    case BinOp::kLt: map_b(d, a, b, [](V x, V y) -> V { return x < y; }); break;
+    case BinOp::kLe: map_b(d, a, b, [](V x, V y) -> V { return x <= y; }); break;
+    case BinOp::kGt: map_b(d, a, b, [](V x, V y) -> V { return x > y; }); break;
+    case BinOp::kGe: map_b(d, a, b, [](V x, V y) -> V { return x >= y; }); break;
+    case BinOp::kEq: map_b(d, a, b, [](V x, V y) -> V { return x == y; }); break;
+    case BinOp::kNe: map_b(d, a, b, [](V x, V y) -> V { return x != y; }); break;
+    default: d.b.fill(0); break;
+  }
+}
+
+/// Truth of `x op y` for every value of an exact difference x - y in
+/// [dl, dh]: 1 or 0 when it is the same over the whole range, else -1.
+int compare_range(expr::BinOp op, I128 dl, I128 dh) {
+  using expr::BinOp;
+  switch (op) {
+    case BinOp::kLt: return dh < 0 ? 1 : dl >= 0 ? 0 : -1;
+    case BinOp::kLe: return dh <= 0 ? 1 : dl > 0 ? 0 : -1;
+    case BinOp::kGt: return dl > 0 ? 1 : dh <= 0 ? 0 : -1;
+    case BinOp::kGe: return dl >= 0 ? 1 : dh < 0 ? 0 : -1;
+    case BinOp::kEq: return (dl == 0 && dh == 0) ? 1 : (dl > 0 || dh < 0) ? 0 : -1;
+    case BinOp::kNe: return (dl > 0 || dh < 0) ? 1 : (dl == 0 && dh == 0) ? 0 : -1;
+    default: return 0;
+  }
 }
 
 class Symbolic {
@@ -151,6 +250,9 @@ class Symbolic {
     si_[Program::kBidX].cx.fill(1);
     si_[Program::kBidY].cy.fill(1);
     si_[Program::kBidZ].cz.fill(1);
+    for (const std::uint16_t r : {Program::kBidX, Program::kBidY, Program::kBidZ}) {
+      si_[r].blk = true;
+    }
     shi_.resize(p_.shared.size());
     shf_.resize(p_.shared.size());
     for (std::size_t s = 0; s < p_.shared.size(); ++s) {
@@ -191,34 +293,41 @@ class Symbolic {
     return (a.cx[l] | a.cy[l] | a.cz[l]) != 0;
   }
 
-  /// Minimum / maximum of b + cx*bx + cy*by + cz*bz over the grid box.
-  I128 lo(std::int64_t b, std::int64_t cx, std::int64_t cy, std::int64_t cz) const {
-    I128 v = b;
-    if ((cx | cy | cz) == 0) return v;
-    v += std::min<I128>(0, I128(cx) * ex_);
-    v += std::min<I128>(0, I128(cy) * ey_);
-    v += std::min<I128>(0, I128(cz) * ez_);
-    return v;
+  /// Minimum / maximum of b + cx*bx + cy*by + cz*bz over the grid box
+  /// (exact: the terms may be differences of int64 values).
+  I128 lo(I128 b, I128 cx, I128 cy, I128 cz) const {
+    if ((cx | cy | cz) == 0) return b;
+    return b + std::min<I128>(0, cx * ex_) + std::min<I128>(0, cy * ey_) +
+           std::min<I128>(0, cz * ez_);
   }
-  I128 hi(std::int64_t b, std::int64_t cx, std::int64_t cy, std::int64_t cz) const {
-    I128 v = b;
-    if ((cx | cy | cz) == 0) return v;
-    v += std::max<I128>(0, I128(cx) * ex_);
-    v += std::max<I128>(0, I128(cy) * ey_);
-    v += std::max<I128>(0, I128(cz) * ez_);
-    return v;
+  I128 hi(I128 b, I128 cx, I128 cy, I128 cz) const {
+    if ((cx | cy | cz) == 0) return b;
+    return b + std::max<I128>(0, cx * ex_) + std::max<I128>(0, cy * ey_) +
+           std::max<I128>(0, cz * ez_);
   }
   I128 lo(const SInt& a, int l) const { return lo(a.b[l], a.cx[l], a.cy[l], a.cz[l]); }
   I128 hi(const SInt& a, int l) const { return hi(a.b[l], a.cx[l], a.cy[l], a.cz[l]); }
 
+  /// True when lane `l` of `a` stays within int64 over the whole grid box.
+  /// The affine form is only known modulo 2^64 (the VM wraps), so it
+  /// equals the VM's value in every block exactly when this holds.
+  bool fits(const SInt& a, int l) const {
+    return lo(a, l) >= std::numeric_limits<std::int64_t>::min() &&
+           hi(a, l) <= std::numeric_limits<std::int64_t>::max();
+  }
+
   /// Truth value of lane `l` if it is the same for every block (1 or 0);
-  /// -1 when the lane is poisoned or the sign of the value is block-
-  /// dependent.
+  /// -1 when the lane is poisoned, leaves int64 over the grid, or the
+  /// sign of the value is block-dependent.
   int truth(const SInt& a, int l) const {
     if ((a.poison & bit(l)) != 0) return -1;
     if (!bdep(a, l)) return a.b[l] != 0 ? 1 : 0;
     const I128 l_ = lo(a, l);
     const I128 h_ = hi(a, l);
+    if (l_ < std::numeric_limits<std::int64_t>::min() ||
+        h_ > std::numeric_limits<std::int64_t>::max()) {
+      return -1;
+    }
     if (l_ > 0 || h_ < 0) return 1;
     if (l_ == 0 && h_ == 0) return 0;
     return -1;
@@ -255,6 +364,13 @@ class Symbolic {
       return out;
     }
     const SInt& a = si_[ins.a];
+    if (!a.blk) {
+      if (const Mask bad = a.poison & active; bad != 0) {
+        throw Bail{unknown_reason(a.bvar, std::countr_zero(bad))};
+      }
+      for (int l = 0; l < kWarp; ++l) out |= a.b[l] != 0 ? bit(l) : 0;
+      return out & active;
+    }
     for (Mask m = active; m != 0; m &= m - 1) {
       const int l = std::countr_zero(m);
       const int t = truth(a, l);
@@ -289,6 +405,7 @@ class Symbolic {
     r.slot = slot;
     r.is_store = is_store;
     r.have_delta = false;
+    r.prog = false;
     r.addrs.clear();
     return r;
   }
@@ -303,13 +420,29 @@ class Symbolic {
       e.dx = r.dx;
       e.dy = r.dy;
       e.dz = r.dz;
+      if (r.prog) {
+        e.lanes = kWarp;
+        e.progression = true;
+        e.addr = r.first;
+        e.stride = r.stride;
+        events_.push_back(e);
+        continue;
+      }
       // Pre-dedup lane accesses: identical to the concrete VM's count
       // (one address per active lane per instruction).
       e.lanes = static_cast<std::uint32_t>(r.addrs.size());
-      if (!std::is_sorted(r.addrs.begin(), r.addrs.end())) {
+      auto stride = progression(r.addrs);
+      if (!stride && !std::is_sorted(r.addrs.begin(), r.addrs.end())) {
         std::sort(r.addrs.begin(), r.addrs.end());
+        stride = progression(r.addrs);
       }
-      e.addr = out_->addrs.append(r.addrs.data(), r.addrs.size());
+      if (stride) {
+        e.progression = true;
+        e.addr = r.addrs.front();
+        e.stride = *stride;
+      } else {
+        e.addr = out_->addrs.append(r.addrs.data(), r.addrs.size());
+      }
       events_.push_back(e);
     }
     n_recs_ = 0;
@@ -339,35 +472,77 @@ class Symbolic {
     }
     SymRec& rec = rec_for(ins.x, is_store);
     if (active == 0) return;
+    if (rec.prog) {
+      // A second access to the site before the flush: store explicitly.
+      rec.addrs.resize(kWarp);
+      for (int l = 0; l < kWarp; ++l) rec.addrs[l] = rec.first + l * rec.stride;
+      rec.prog = false;
+    }
     const std::uint64_t base = arr.base;
     const auto uelem = static_cast<std::uint64_t>(elem);
 
     // Common case: every active lane shares one set of block coefficients.
     // Bounds then follow from the extreme offsets alone, the delta is set
-    // once, and the addresses append in bulk.
+    // once, and the addresses append in bulk, or, for a full warp whose
+    // indices ascend by a constant step, stay as first address and stride.
+    // Full warps take straight-line loops the compiler vectorizes.
+    const bool full = active == kAllLanes;
     const int first = std::countr_zero(active);
     const std::int64_t cx = idx.cx[first];
     const std::int64_t cy = idx.cy[first];
     const std::int64_t cz = idx.cz[first];
     std::int64_t bmin = idx.b[first];
     std::int64_t bmax = bmin;
-    bool uniform = true;
-    for (Mask m = active; m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      uniform = uniform && idx.cx[l] == cx && idx.cy[l] == cy && idx.cz[l] == cz;
-      bmin = std::min(bmin, idx.b[l]);
-      bmax = std::max(bmax, idx.b[l]);
+    std::int64_t coef_diff = 0;  // nonzero when some lane's coefficients differ
+    bool lane_prog = false;
+    std::int64_t step = 0;
+    if (full) {
+      step = wrap_sub(idx.b[1], idx.b[0]);
+      std::int64_t mismatch = 0;
+      for (int l = 2; l < kWarp; ++l) mismatch |= wrap_sub(idx.b[l], idx.b[l - 1]) ^ step;
+      lane_prog = rec.addrs.empty() && mismatch == 0 && step >= 0 &&
+                  I128(idx.b[0]) + I128(step) * (kWarp - 1) == idx.b[kWarp - 1];
+      if (lane_prog) {
+        bmax = idx.b[kWarp - 1];
+      } else {
+        for (int l = 0; l < kWarp; ++l) {
+          bmin = std::min(bmin, idx.b[l]);
+          bmax = std::max(bmax, idx.b[l]);
+        }
+      }
+      if (idx.blk) {
+        for (int l = 0; l < kWarp; ++l) {
+          coef_diff |= (idx.cx[l] ^ cx) | (idx.cy[l] ^ cy) | (idx.cz[l] ^ cz);
+        }
+      }
+    } else {
+      for (Mask m = active; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        coef_diff |= (idx.cx[l] ^ cx) | (idx.cy[l] ^ cy) | (idx.cz[l] ^ cz);
+        bmin = std::min(bmin, idx.b[l]);
+        bmax = std::max(bmax, idx.b[l]);
+      }
     }
-    if (uniform) {
+    if (coef_diff == 0) {
       if (lo(bmin, cx, cy, cz) < 0 || hi(bmax, cx, cy, cz) >= count) {
         throw Bail{BailReason::kOutOfBounds};
       }
       set_delta(rec, wrap_mul(cx, elem), wrap_mul(cy, elem), wrap_mul(cz, elem));
+      if (lane_prog) {
+        rec.prog = true;
+        rec.first = base + static_cast<std::uint64_t>(bmin) * uelem;
+        rec.stride = static_cast<std::uint64_t>(step) * uelem;
+        return;
+      }
       const std::size_t n0 = rec.addrs.size();
       rec.addrs.resize(n0 + static_cast<std::size_t>(std::popcount(active)));
       std::uint64_t* out = rec.addrs.data() + n0;
-      for (Mask m = active; m != 0; m &= m - 1) {
-        *out++ = base + static_cast<std::uint64_t>(idx.b[std::countr_zero(m)]) * uelem;
+      if (full) {
+        for (int l = 0; l < kWarp; ++l) out[l] = base + static_cast<std::uint64_t>(idx.b[l]) * uelem;
+      } else {
+        for (Mask m = active; m != 0; m &= m - 1) {
+          *out++ = base + static_cast<std::uint64_t>(idx.b[std::countr_zero(m)]) * uelem;
+        }
       }
       return;
     }
@@ -447,20 +622,11 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         const SInt& a = si_a(ins);
         const SInt& b = si_b(ins);
         SInt& d = si_[ins.dst];
+        using V = std::int64_t;
         if (ins.op == Op::kSubI) {
-          for (int l = 0; l < kWarp; ++l) {
-            d.b[l] = wrap_sub(a.b[l], b.b[l]);
-            d.cx[l] = wrap_sub(a.cx[l], b.cx[l]);
-            d.cy[l] = wrap_sub(a.cy[l], b.cy[l]);
-            d.cz[l] = wrap_sub(a.cz[l], b.cz[l]);
-          }
+          map_affine(d, a, b, [](V x, V y) { return wrap_sub(x, y); });
         } else {
-          for (int l = 0; l < kWarp; ++l) {
-            d.b[l] = wrap_add(a.b[l], b.b[l]);
-            d.cx[l] = wrap_add(a.cx[l], b.cx[l]);
-            d.cy[l] = wrap_add(a.cy[l], b.cy[l]);
-            d.cz[l] = wrap_add(a.cz[l], b.cz[l]);
-          }
+          map_affine(d, a, b, [](V x, V y) { return wrap_add(x, y); });
         }
         d.poison = a.poison | b.poison;
         d.bvar = a.bvar | b.bvar;
@@ -473,6 +639,13 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         const Mask in_poison = a.poison | b.poison;
         Mask poison = in_poison;
         Mask bvar = a.bvar | b.bvar;
+        if (!a.blk && !b.blk) {
+          map_b(d, a, b, [](std::int64_t x, std::int64_t y) { return wrap_mul(x, y); });
+          clear_coeffs(d);
+          d.poison = poison;
+          d.bvar = bvar;
+          break;
+        }
         for (int l = 0; l < kWarp; ++l) {
           const bool ab = bdep(a, l);
           const bool bb = bdep(b, l);
@@ -494,6 +667,7 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             d.cz[l] = wrap_mul(b.cz[l], a.b[l]);
           }
         }
+        d.blk = any_coeff(d);
         d.poison = poison;
         d.bvar = bvar;
         break;
@@ -501,11 +675,16 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
       case Op::kNegI: {
         const SInt& a = si_a(ins);
         SInt& d = si_[ins.dst];
-        for (int l = 0; l < kWarp; ++l) {
-          d.b[l] = wrap_sub(0, a.b[l]);
-          d.cx[l] = wrap_sub(0, a.cx[l]);
-          d.cy[l] = wrap_sub(0, a.cy[l]);
-          d.cz[l] = wrap_sub(0, a.cz[l]);
+        for (int l = 0; l < kWarp; ++l) d.b[l] = wrap_sub(0, a.b[l]);
+        if (!a.blk) {
+          clear_coeffs(d);
+        } else {
+          for (int l = 0; l < kWarp; ++l) {
+            d.cx[l] = wrap_sub(0, a.cx[l]);
+            d.cy[l] = wrap_sub(0, a.cy[l]);
+            d.cz[l] = wrap_sub(0, a.cz[l]);
+          }
+          d.blk = true;
         }
         d.poison = a.poison;
         d.bvar = a.bvar;
@@ -519,10 +698,31 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         const bool is_max = ins.op == Op::kMaxI;
         Mask poison = a.poison | b.poison;
         Mask bvar = a.bvar | b.bvar;
+        using V = std::int64_t;
+        if (!a.blk && !b.blk) {
+          if (is_max) {
+            map_b(d, a, b, [](V x, V y) { return std::max(x, y); });
+          } else {
+            map_b(d, a, b, [](V x, V y) { return std::min(x, y); });
+          }
+          clear_coeffs(d);
+          d.poison = poison;
+          d.bvar = bvar;
+          break;
+        }
         for (int l = 0; l < kWarp; ++l) {
           d.cx[l] = d.cy[l] = d.cz[l] = 0;
           d.b[l] = 0;
           if ((poison & bit(l)) != 0) continue;
+          if (!bdep(a, l) && !bdep(b, l)) {
+            d.b[l] = is_max ? std::max(a.b[l], b.b[l]) : std::min(a.b[l], b.b[l]);
+            continue;
+          }
+          if (!fits(a, l) || !fits(b, l)) {
+            poison |= bit(l);
+            bvar |= bit(l);
+            continue;
+          }
           // Identical coefficients: min/max distributes over the shared
           // affine part. Otherwise resolve by range separation.
           if (a.cx[l] == b.cx[l] && a.cy[l] == b.cy[l] && a.cz[l] == b.cz[l]) {
@@ -547,6 +747,7 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             bvar |= bit(l);
           }
         }
+        d.blk = any_coeff(d);
         d.poison = poison;
         d.bvar = bvar;
         break;
@@ -587,13 +788,14 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
       case Op::kDivF:
       case Op::kMinF:
       case Op::kMaxF: {
-        const SFlt& a = sf_a(ins);
-        const SFlt& b = sf_b(ins);
-        SFlt& d = sf_[ins.dst];
-        const Mask poison = a.poison | b.poison;
+        const Mask poison = sf_[ins.a].poison | sf_[ins.b].poison;
+        const Mask bvar = sf_[ins.a].bvar | sf_[ins.b].bvar;
         // Every consumer checks poison before it reads a value, so a fully
         // poisoned result (data arithmetic, the common case) is not computed.
         if (poison != kAllLanes) {
+          const SFlt& a = sf_a(ins);
+          const SFlt& b = sf_b(ins);
+          SFlt& d = sf_[ins.dst];
           for (int l = 0; l < kWarp; ++l) {
             double r = 0.0;
             switch (ins.op) {
@@ -607,8 +809,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             d.v[l] = static_cast<float>(r);
           }
         }
-        d.poison = poison;
-        d.bvar = a.bvar | b.bvar;
+        sf_[ins.dst].poison = poison;
+        sf_[ins.dst].bvar = bvar;
         break;
       }
       case Op::kNegF: {
@@ -628,36 +830,31 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         const auto op = static_cast<expr::BinOp>(ins.t);
         Mask poison = a.poison | b.poison;
         Mask bvar = a.bvar | b.bvar;
-        for (int l = 0; l < kWarp; ++l) {
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
-          d.b[l] = 0;
-          if ((poison & bit(l)) != 0) continue;
-          // diff = a - b; the comparison is block-uniform when the sign
-          // of diff is determined over the whole grid box.
-          const std::int64_t db = wrap_sub(a.b[l], b.b[l]);
-          const std::int64_t dcx = wrap_sub(a.cx[l], b.cx[l]);
-          const std::int64_t dcy = wrap_sub(a.cy[l], b.cy[l]);
-          const std::int64_t dcz = wrap_sub(a.cz[l], b.cz[l]);
-          const I128 dl = lo(db, dcx, dcy, dcz);
-          const I128 dh = hi(db, dcx, dcy, dcz);
-          int r = -1;  // -1: the truth varies over the grid
-          using expr::BinOp;
-          switch (op) {
-            case BinOp::kLt: r = dh < 0 ? 1 : dl >= 0 ? 0 : -1; break;
-            case BinOp::kLe: r = dh <= 0 ? 1 : dl > 0 ? 0 : -1; break;
-            case BinOp::kGt: r = dl > 0 ? 1 : dh <= 0 ? 0 : -1; break;
-            case BinOp::kGe: r = dl >= 0 ? 1 : dh < 0 ? 0 : -1; break;
-            case BinOp::kEq: r = (dl == 0 && dh == 0) ? 1 : (dl > 0 || dh < 0) ? 0 : -1; break;
-            case BinOp::kNe: r = (dl > 0 || dh < 0) ? 1 : (dl == 0 && dh == 0) ? 0 : -1; break;
-            default: break;
-          }
-          if (r < 0) {
-            poison |= bit(l);
-            bvar |= bit(l);
-          } else {
-            d.b[l] = r;
+        // Block-invariant lanes compare their values exactly, as the VM does.
+        compare_b(op, d, a, b);
+        if (a.blk || b.blk) {
+          for (int l = 0; l < kWarp; ++l) {
+            if ((poison & bit(l)) != 0 || (!bdep(a, l) && !bdep(b, l))) continue;
+            // Both sides are the VM's values only while they stay in int64;
+            // then the comparison is block-uniform when the sign of the
+            // exact difference is fixed over the grid box.
+            int r = -1;
+            if (fits(a, l) && fits(b, l)) {
+              const I128 db = I128(a.b[l]) - b.b[l];
+              const I128 dcx = I128(a.cx[l]) - b.cx[l];
+              const I128 dcy = I128(a.cy[l]) - b.cy[l];
+              const I128 dcz = I128(a.cz[l]) - b.cz[l];
+              r = compare_range(op, lo(db, dcx, dcy, dcz), hi(db, dcx, dcy, dcz));
+            }
+            if (r < 0) {
+              poison |= bit(l);
+              bvar |= bit(l);
+            } else {
+              d.b[l] = r;
+            }
           }
         }
+        clear_coeffs(d);
         d.poison = poison;
         d.bvar = bvar;
         break;
@@ -682,8 +879,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             default: break;
           }
           d.b[l] = r ? 1 : 0;
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
+        clear_coeffs(d);
         d.poison = a.poison | b.poison;
         d.bvar = a.bvar | b.bvar;
         break;
@@ -704,8 +901,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           } else {
             d.b[l] = t ^ invert;
           }
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
+        clear_coeffs(d);
         d.poison = poison;
         d.bvar = bvar;
         break;
@@ -717,8 +914,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         const bool invert = ins.op == Op::kNotF;
         for (int l = 0; l < kWarp; ++l) {
           d.b[l] = ((a.v[l] != 0.0) != invert) ? 1 : 0;
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
+        clear_coeffs(d);
         d.poison = a.poison;
         d.bvar = a.bvar;
         break;
@@ -741,8 +938,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           } else {
             d.b[l] = is_or ? (at | bt) : (at & bt);
           }
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
+        clear_coeffs(d);
         d.poison = poison;
         d.bvar = bvar;
         break;
@@ -795,8 +992,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
           } else {
             d.b[l] = is_or ? (at | bt) : (at & bt);
           }
-          d.cx[l] = d.cy[l] = d.cz[l] = 0;
         }
+        clear_coeffs(d);
         d.poison = poison;
         d.bvar = bvar;
         break;
@@ -873,9 +1070,15 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.b[l] = a.b[l];
-          d.cx[l] = a.cx[l];
-          d.cy[l] = a.cy[l];
-          d.cz[l] = a.cz[l];
+        }
+        if (a.blk || d.blk) {
+          for (Mask m = cur; m != 0; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            d.cx[l] = a.cx[l];
+            d.cy[l] = a.cy[l];
+            d.cz[l] = a.cz[l];
+          }
+          d.blk = a.blk || any_coeff(d);
         }
         d.poison = (d.poison & ~cur) | (a.poison & cur);
         d.bvar = (d.bvar & ~cur) | (a.bvar & cur);
@@ -901,7 +1104,8 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
       case Op::kWVarFF: {
         const SFlt& a = sf_a(ins);
         SFlt& d = sf_[ins.dst];
-        for (Mask m = cur; m != 0; m &= m - 1) {
+        // Poisoned lanes keep stale values (never read, see kAddF).
+        for (Mask m = cur & ~a.poison; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.v[l] = static_cast<float>(a.v[l]);
         }
@@ -927,9 +1131,15 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         for (Mask m = cur; m != 0; m &= m - 1) {
           const int l = std::countr_zero(m);
           d.b[l] = wrap_add(d.b[l], a.b[l]);
-          d.cx[l] = wrap_add(d.cx[l], a.cx[l]);
-          d.cy[l] = wrap_add(d.cy[l], a.cy[l]);
-          d.cz[l] = wrap_add(d.cz[l], a.cz[l]);
+        }
+        if (a.blk) {
+          for (Mask m = cur; m != 0; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            d.cx[l] = wrap_add(d.cx[l], a.cx[l]);
+            d.cy[l] = wrap_add(d.cy[l], a.cy[l]);
+            d.cz[l] = wrap_add(d.cz[l], a.cz[l]);
+          }
+          d.blk = any_coeff(d);
         }
         d.poison |= a.poison & cur;
         d.bvar |= a.bvar & cur;
@@ -981,6 +1191,7 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
             d.cx[l] = c.cx;
             d.cy[l] = c.cy;
             d.cz[l] = c.cz;
+            d.blk = d.blk || (c.cx | c.cy | c.cz) != 0;
             d.poison = (d.poison & ~bit(l)) | (c.poison ? bit(l) : 0);
             d.bvar &= ~bit(l);
           }
@@ -1201,6 +1412,21 @@ WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTabl
                                     static_cast<std::uint64_t>(pe.dy) * block_idx.y +
                                     static_cast<std::uint64_t>(pe.dz) * block_idx.z;
         if (pe.lanes == 0) break;
+        if (pe.progression) {
+          const std::uint64_t first = pe.addr + delta;
+          if (pe.stride <= 32) {
+            // Consecutive lanes are at most one sector apart, so the warp
+            // touches every sector from the first lane's to the last's.
+            const std::uint64_t s0 = first / 32;
+            const std::uint64_t n = (first + (pe.lanes - 1) * pe.stride) / 32 - s0 + 1;
+            for (std::uint64_t s = 0; s < n; ++s) t.mem_sector((s0 + s) / sectors_per_line);
+          } else {
+            for (std::uint32_t i = 0; i < pe.lanes; ++i) {
+              t.mem_sector((first + i * pe.stride) / 32 / sectors_per_line);
+            }
+          }
+          break;
+        }
         sectors.resize(pe.lanes);
         translate_sectors(pt.addrs.at(pe.addr), pe.lanes, delta, sectors.data());
         // The addresses are sorted and the delta is uniform, so the

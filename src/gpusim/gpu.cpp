@@ -201,9 +201,11 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     // vs concretely executed warps).
     reg.add(reg.counter("sim.tracegen.warps_rendered"), interp.warps_rendered());
     reg.add(reg.counter("sim.tracegen.warps_executed"), interp.warps_executed());
-    // Dedup attribution: why symbolized warps fell back to the VM, and
-    // what symbolization cost (both zero when the launch reused traces).
+    // Dedup attribution: why symbolized warps fell back to the VM and what
+    // symbolization cost (both zero when the launch reused traces), and
+    // what rendering cost.
     reg.add(reg.counter("sim.dedup.symbolize_us"), interp.symbolize_us());
+    reg.add(reg.counter("sim.dedup.render_us"), interp.render_us());
     for (int r = 1; r < dedup::kNumBailReasons; ++r) {
       const auto reason = static_cast<dedup::BailReason>(r);
       reg.add(reg.counter(std::string("sim.dedup.bail.") + dedup::bail_reason_name(reason)),
@@ -250,6 +252,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " warps_rendered=" + std::to_string(interp.warps_rendered()) +
         " warps_executed=" + std::to_string(interp.warps_executed()) +
         " symbolize_us=" + std::to_string(interp.symbolize_us()) +
+        " render_us=" + std::to_string(interp.render_us()) +
         " sm_steps=" + std::to_string(stats.sm_steps) +
         " warps_scanned=" + std::to_string(stats.warps_scanned) +
         " warps_issued=" + std::to_string(stats.warp_insts) +

@@ -136,8 +136,13 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
     const bool affine = static_cast<std::size_t>(w) < entry_->warps.size() &&
                         entry_->warps[static_cast<std::size_t>(w)].valid;
     if (affine) {
+      const auto t0 = std::chrono::steady_clock::now();
       out.push_back(dedup::render(entry_->warps[static_cast<std::size_t>(w)], *prog_,
                                   entry_->table, bid, line_bytes_, pool));
+      render_ns_ += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                               t0)
+              .count());
       ++rendered_;
     } else {
       if (!vm_block_set) {

@@ -78,6 +78,9 @@ class KernelInterp {
     return bails_[static_cast<std::size_t>(r)];
   }
   std::uint64_t symbolize_us() const { return symbolize_us_; }
+  /// Time spent rendering this launch's rendered warps. Trace generation
+  /// minus symbolize_us() minus render_us() is VM time.
+  std::uint64_t render_us() const { return render_ns_ / 1000; }
 
 
  private:
@@ -108,6 +111,7 @@ class KernelInterp {
   std::uint64_t executed_ = 0;
   std::array<std::uint64_t, dedup::kNumBailReasons> bails_{};
   std::uint64_t symbolize_us_ = 0;
+  std::uint64_t render_ns_ = 0;  // one clock pair per rendered warp
 
   /// Recycles per-block TxnPool allocations.
   TxnArena arena_;

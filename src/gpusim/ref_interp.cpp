@@ -17,6 +17,11 @@ using expr::ScalarType;
 using ir::Stmt;
 using ir::StmtKind;
 
+// Integer add/sub/mul/neg wrap in two's complement, as the bytecode VM
+// computes them; plain signed arithmetic would be undefined on overflow.
+std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+std::uint64_t bits(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+
 constexpr int kWarp = 32;
 using Mask = std::uint32_t;
 
@@ -240,7 +245,7 @@ struct RefKernelInterp::Impl {
             if (w.type == ScalarType::kFloat) {
               w.f[l] = -a.as_float(l);
             } else {
-              w.i[l] = -a.as_int(l);
+              w.i[l] = wrap(0u - bits(a.as_int(l)));
             }
           }
         }
@@ -383,9 +388,9 @@ struct RefKernelInterp::Impl {
         const std::int64_t y = b.as_int(l);
         std::int64_t r = 0;
         switch (e.bin) {
-          case BinOp::kAdd: r = x + y; break;
-          case BinOp::kSub: r = x - y; break;
-          case BinOp::kMul: r = x * y; break;
+          case BinOp::kAdd: r = wrap(bits(x) + bits(y)); break;
+          case BinOp::kSub: r = wrap(bits(x) - bits(y)); break;
+          case BinOp::kMul: r = wrap(bits(x) * bits(y)); break;
           case BinOp::kDiv:
             if (y == 0) throw SimError("division by zero in '" + e.str() + "'");
             r = x / y;
@@ -602,7 +607,7 @@ struct RefKernelInterp::Impl {
             flush_mem();
             auto& slot = vars[s.name];
             for (int l = 0; l < kWarp; ++l) {
-              if (m & (1u << l)) slot.i[l] += step.as_int(l);
+              if (m & (1u << l)) slot.i[l] = wrap(bits(slot.i[l]) + bits(step.as_int(l)));
             }
           }
           rs.exit_loop();

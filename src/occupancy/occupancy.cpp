@@ -20,7 +20,12 @@ const char* to_string(Limiter l) {
 }
 
 std::string Occupancy::tlp_string() const {
-  return "(" + std::to_string(warps_per_tb) + "," + std::to_string(tbs_per_sm) + ")";
+  std::string s = "(";  // appended piecewise, see arch::to_string(Dim3)
+  s += std::to_string(warps_per_tb);
+  s += ',';
+  s += std::to_string(tbs_per_sm);
+  s += ')';
+  return s;
 }
 
 TbResources tb_resources(const ir::Kernel& kernel, const arch::LaunchConfig& launch) {

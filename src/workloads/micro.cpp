@@ -58,7 +58,9 @@ Workload make_l1d_full_micro(int num_sms, int fill_warps) {
       Rng rng(0xD000 + static_cast<std::uint64_t>(s));
       std::vector<float> v(elems);
       for (auto& x : v) x = rng.next_float(0.0f, 1.0f);
-      mem.alloc_f32("D" + std::to_string(s), std::move(v));
+      std::string name = "D";  // appended piecewise, see arch::to_string(Dim3)
+      name += std::to_string(s);
+      mem.alloc_f32(name, std::move(v));
     }
     mem.alloc_f32("outv", elems / 28, 0.0f);
   };

@@ -85,7 +85,12 @@ void check_golden(const std::string& name, const std::string& content) {
 }
 
 std::string tlp(int warps, int tbs) {
-  return "(" + std::to_string(warps) + "," + std::to_string(tbs) + ")";
+  std::string s = "(";
+  s += std::to_string(warps);
+  s += ',';
+  s += std::to_string(tbs);
+  s += ')';
+  return s;
 }
 
 // Mirrors the bench-local helper in table3_tlp_selection.cpp.

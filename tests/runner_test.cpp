@@ -305,7 +305,8 @@ namespace {
 std::string stats_signature(const AppResult& r) {
   std::string out = std::to_string(r.total_cycles);
   for (const auto& l : r.launches) {
-    out += "|" + std::to_string(l.cycles) + "," + std::to_string(l.l1.accesses) + "," +
+    out += '|';
+    out += std::to_string(l.cycles) + "," + std::to_string(l.l1.accesses) + "," +
            std::to_string(l.l1.hits) + "," + std::to_string(l.l2.accesses) + "," +
            std::to_string(l.l2.hits) + "," + std::to_string(l.dram_lines) + "," +
            std::to_string(l.sched_vetoes) + "," + std::to_string(l.sched_victim_tag_hits) + "," +
@@ -384,7 +385,8 @@ TEST(SchedSeam, DynctaPausesTbsOnContendedWorkload) {
 std::string timing_signature(const AppResult& r) {
   std::string out = std::to_string(r.total_cycles);
   for (const auto& l : r.launches) {
-    out += "|" + std::to_string(l.cycles) + "," + std::to_string(l.l1.accesses) + "," +
+    out += '|';
+    out += std::to_string(l.cycles) + "," + std::to_string(l.l1.accesses) + "," +
            std::to_string(l.l1.hits) + "," + std::to_string(l.l2.accesses) + "," +
            std::to_string(l.l2.hits) + "," + std::to_string(l.dram_lines) + "," +
            std::to_string(l.warp_insts);

@@ -125,7 +125,7 @@ TEST(PlanService, DiskTierServesAFreshInstance) {
 
 sim::KernelStats stats_with(std::int64_t cycles) {
   sim::KernelStats s;
-  s.kernel_name = "k";
+  s.kernel_name = std::string("k");  // not a literal assignment: GCC bug 105329
   s.cycles = cycles;
   return s;
 }

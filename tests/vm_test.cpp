@@ -1,12 +1,15 @@
 // Golden-trace regression tests for the bytecode warp VM (bytecode.hpp)
 // and the homogeneous-warp trace dedup (dedup.hpp): both must reproduce
 // the reference tree-walk interpreter's traces bit for bit — same event
-// sequence, compute cycles, site ids, and coalesced transactions — for
-// every registered workload kernel.
+// sequence, compute cycles, lane work, site ids, and coalesced
+// transactions — for every registered workload kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "frontend/parser.hpp"
@@ -32,6 +35,7 @@ void expect_traces_equal(const std::vector<WarpTrace>& ref, const std::vector<Wa
       const std::string at = label + " warp " + std::to_string(w) + " event " + std::to_string(i);
       ASSERT_EQ(static_cast<int>(re.kind(i)), static_cast<int>(ge.kind(i))) << at;
       ASSERT_EQ(re.cycles(i), ge.cycles(i)) << at;
+      ASSERT_EQ(re.lane_work(i), ge.lane_work(i)) << at;
       ASSERT_EQ(re.site(i), ge.site(i)) << at;
       ASSERT_EQ(re.is_store(i), ge.is_store(i)) << at;
       ASSERT_EQ(re.txn_count(i), ge.txn_count(i)) << at;
@@ -241,6 +245,142 @@ TEST(VmDedup, BailReasonsNameTheFailedProof) {
       EXPECT_EQ(vm.bails(reason), reason == c.reason ? 1u : 0u)
           << label << ": " << dedup::bail_reason_name(reason);
     }
+  }
+}
+
+// Dedup must decide an integer comparison on the values the VM compares,
+// not on the sign of their wrapped difference. threadIdx.x * 2^62 wraps
+// to 0, 2^62, -2^63, -2^62 (lanes mod 4); only -2^63 is below -2^62 - 1,
+// so 8 lanes take the branch. The wrapped difference 2^62 - (-2^62 - 1)
+// is negative, which would also admit the lanes = 1 (mod 4): 16 lanes.
+// The first case takes the block-invariant path, the second adds a
+// block-dependent offset that keeps every value in int64 (decided over
+// the grid box), and in the third block 1's value leaves int64 (the VM
+// wraps it), so the warp must bail and run on the VM.
+TEST(VmDedup, IntCompareUsesExactValuesNotWrappedDifference) {
+  const std::int64_t x = std::int64_t{1} << 62;
+  struct Case {
+    const char* cond;
+    std::int64_t X, Y;
+    std::uint32_t lanes;  // lane accesses per memory event, block 0
+    bool renders;
+  };
+  const Case cases[] = {
+      {"threadIdx.x * X < Y", x, -x - 1, 8, true},
+      {"blockIdx.x * 32 + threadIdx.x * X < Y", x, -x - 1, 8, true},
+      {"blockIdx.x * X + threadIdx.x + 10 > Y", std::numeric_limits<std::int64_t>::max() - 7, 5,
+       32, false},
+  };
+  const arch::LaunchConfig launch{arch::Dim3{2}, arch::Dim3{32}};
+  for (const Case& c : cases) {
+    const std::vector<ir::Kernel> kernels = frontend::parse_program(
+        std::string("__global__ void k(float *a, float *b, int X, int Y) { if (") + c.cond +
+        ") { b[threadIdx.x] = a[threadIdx.x]; } }");
+    const ir::Kernel& k = kernels.front();
+    ASSERT_TRUE(bc::trace_data_independent(k)) << c.cond;
+    const expr::ParamEnv params{{"X", c.X}, {"Y", c.Y}};
+    DeviceMemory mem_ref;
+    DeviceMemory mem_vm;
+    for (DeviceMemory* mem : {&mem_ref, &mem_vm}) {
+      mem->alloc_f32("a", 32, 1.0f);
+      mem->alloc_f32("b", 32, 0.0f);
+    }
+    dedup::TraceDedup cache;
+    RefKernelInterp ref(k, launch, params, mem_ref, kLineBytes);
+    KernelInterp vm(k, launch, params, mem_vm, kLineBytes);
+    vm.set_functional(false);
+    vm.enable_dedup(cache, 1);
+    for (std::uint64_t b = 0; b < launch.num_blocks(); ++b) {
+      const std::vector<WarpTrace> want = ref.run_block(b);
+      if (b == 0) {
+        int mem_events = 0;
+        for (std::size_t i = 0; i < want[0].size(); ++i) {
+          if (want[0].kind(i) != EventKind::kMem) continue;
+          EXPECT_EQ(want[0].lane_work(i), c.lanes) << c.cond << " event " << i;
+          ++mem_events;
+        }
+        EXPECT_EQ(mem_events, 2) << c.cond;
+      }
+      expect_traces_equal(want, vm.run_block(b), std::string(c.cond) + " block " + std::to_string(b));
+    }
+    EXPECT_EQ(vm.warps_rendered(), c.renders ? 2u : 0u) << c.cond;
+    EXPECT_EQ(vm.bails(dedup::BailReason::kBlockDependent), c.renders ? 0u : 1u) << c.cond;
+  }
+}
+
+// Every address encoding dedup stores must render each block exactly as
+// the reference interpreter runs it. `stride` is the expected encoding of
+// warp 0's first memory event (the load): a lane-progression stride in
+// bytes, or kAddrStore for explicit addresses.
+TEST(VmDedup, RenderEncodingsMatchReference) {
+  constexpr std::uint64_t kAddrStore = ~std::uint64_t{0};
+  struct Case {
+    const char* name;
+    const char* body;
+    unsigned block;
+    std::uint64_t stride;
+  };
+  const Case cases[] = {
+      {"contiguous row", "b[blockIdx.x * 32 + threadIdx.x] = a[blockIdx.x * 32 + threadIdx.x];",
+       32, 4},
+      {"broadcast", "b[blockIdx.x * 32 + threadIdx.x] = a[blockIdx.x];", 32, 0},
+      {"column", "b[threadIdx.x * 16 + blockIdx.x] = a[threadIdx.x * 16 + blockIdx.x];", 32, 64},
+      {"descending", "b[blockIdx.x * 32 + threadIdx.x] = a[63 - threadIdx.x];", 32, 4},
+      {"partial warp", "b[blockIdx.x * 48 + threadIdx.x] = a[blockIdx.x * 48 + threadIdx.x];", 48,
+       4},
+      {"divergent",
+       "if (threadIdx.x % 3 == 0) {"
+       "  b[blockIdx.x * 32 + threadIdx.x] = a[blockIdx.x + threadIdx.x * threadIdx.x];"
+       "}",
+       32, kAddrStore},
+      {"unaligned delta", "b[blockIdx.x * 3 + threadIdx.x] = a[blockIdx.x * 5 + threadIdx.x];", 32,
+       4},
+      // Block-invariant and block-dependent operands meet in add, sub,
+      // mul, min, compares and a loop stepped from a block-dependent start.
+      {"mixed int expression",
+       "int t = threadIdx.x * 2 + 1;"
+       "int i = blockIdx.x * 64 + t;"
+       "int c = i - blockIdx.x * 64;"
+       "if (i < 1000 && c == t) {"
+       "  for (int j = i; j < i + 2 * c - t; j += t) {"
+       "    b[min(j, blockIdx.x * 64 + 70) * 2 - i] = a[(i - t) * 3 + c];"
+       "  }"
+       "}",
+       32, 8},
+  };
+  const arch::Dim3 grid{4};
+  for (const Case& c : cases) {
+    const std::string src =
+        std::string("__global__ void k(float *a, float *b) {") + c.body + "}";
+    const std::vector<ir::Kernel> kernels = frontend::parse_program(src);
+    const ir::Kernel& k = kernels.front();
+    const arch::LaunchConfig launch{grid, arch::Dim3{c.block}};
+    ASSERT_TRUE(bc::trace_data_independent(k)) << c.name;
+    DeviceMemory mem_ref;
+    DeviceMemory mem_vm;
+    for (DeviceMemory* mem : {&mem_ref, &mem_vm}) {
+      mem->alloc_f32("a", 1024, 1.0f);
+      mem->alloc_f32("b", 1024, 0.0f);
+    }
+    dedup::TraceDedup cache;
+    RefKernelInterp ref(k, launch, {}, mem_ref, kLineBytes);
+    KernelInterp vm(k, launch, {}, mem_vm, kLineBytes);
+    vm.set_functional(false);
+    vm.enable_dedup(cache, 1);
+    for (std::uint64_t b = 0; b < launch.num_blocks(); ++b) {
+      expect_traces_equal(ref.run_block(b), vm.run_block(b),
+                          std::string(c.name) + " block " + std::to_string(b));
+    }
+    expect_sites_equal(ref.sites(), vm.sites(), c.name);
+    EXPECT_EQ(vm.warps_executed(), 0u) << c.name;
+
+    const dedup::ParamWarpTrace& pt = cache.entry(1).warps.front();
+    const auto first_mem = std::find_if(pt.events.begin(), pt.events.end(),
+                                        [](const dedup::ParamEvent& e) {
+                                          return e.kind == EventKind::kMem && e.lanes > 0;
+                                        });
+    ASSERT_NE(first_mem, pt.events.end()) << c.name;
+    EXPECT_EQ(first_mem->progression ? first_mem->stride : kAddrStore, c.stride) << c.name;
   }
 }
 
