@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   analysis::AnalysisOptions eq8;  // paper default
   analysis::AnalysisOptions dedupe;
   dedupe.dedupe_tb_footprint = true;
@@ -55,9 +54,9 @@ int main(int argc, char** argv) {
   std::vector<double> s_eq8, s_dedupe;
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
-    const throttle::AppResult base = auto_runner.run(*w, throttle::Baseline{});
-    const throttle::AppResult r8 = auto_runner.run(*w, throttle::Catt{eq8});
-    const throttle::AppResult rd = auto_runner.run(*w, throttle::Catt{dedupe});
+    const throttle::AppResult base = runner.run(*w, throttle::Baseline{});
+    const throttle::AppResult r8 = runner.run(*w, throttle::Catt{eq8});
+    const throttle::AppResult rd = runner.run(*w, throttle::Catt{dedupe});
     const double sp8 = bench::speedup(base.total_cycles, r8.total_cycles);
     const double spd = bench::speedup(base.total_cycles, rd.total_cycles);
     s_eq8.push_back(sp8);

@@ -19,14 +19,13 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   TextTable table({"app", "baseline(cyc)", "DYNCTA-like", "CATT"});
   std::vector<double> s_dyn, s_catt;
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
-    const throttle::AppResult base = auto_runner.run(*w, throttle::Baseline{});
-    const throttle::AppResult dyn = auto_runner.run(*w, throttle::Dyncta{});
-    const throttle::AppResult catt = auto_runner.run(*w, throttle::Catt{});
+    const throttle::AppResult base = runner.run(*w, throttle::Baseline{});
+    const throttle::AppResult dyn = runner.run(*w, throttle::Dyncta{});
+    const throttle::AppResult catt = runner.run(*w, throttle::Catt{});
     const double sd = bench::speedup(base.total_cycles, dyn.total_cycles);
     const double sc = bench::speedup(base.total_cycles, catt.total_cycles);
     s_dyn.push_back(sd);

@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
 
   analysis::AnalysisOptions defaults;  // warp-first, conservative
   analysis::AnalysisOptions tb_only;
@@ -32,9 +31,9 @@ int main(int argc, char** argv) {
   std::vector<double> s_def, s_warp, s_tb, s_aggr;
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
-    const throttle::AppResult base = auto_runner.run(*w, throttle::Baseline{});
+    const throttle::AppResult base = runner.run(*w, throttle::Baseline{});
     auto speedup_of = [&](const analysis::AnalysisOptions& o) {
-      const throttle::AppResult r = auto_runner.run(*w, throttle::Catt{o});
+      const throttle::AppResult r = runner.run(*w, throttle::Catt{o});
       return bench::speedup(base.total_cycles, r.total_cycles);
     };
     const double d = speedup_of(defaults);

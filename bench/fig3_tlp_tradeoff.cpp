@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   const std::vector<int> divisors = {32, 16, 8, 4, 2, 1};  // TLP = 32/divisor warps
 
   TextTable table({"TLP (warps)", "L1D-full-4w", "L1D-full-8w", "L1D-full-16w"});
@@ -31,13 +30,13 @@ int main(int argc, char** argv) {
   for (int fill : {4, 8, 16}) {
     const wl::Workload& w =
         wl::find_workload("l1dfull" + std::to_string(fill) + "w", bench::kNumSms);
-    const throttle::AppResult base = auto_runner.run(w, throttle::Baseline{});
+    const throttle::AppResult base = runner.run(w, throttle::Baseline{});
     const auto choices = runner.catt_choices(w);
     catt_pick[fill] = choices[0].loops.empty() ? 32 : choices[0].loops[0].warps;
 
     for (int n : divisors) {
       const throttle::AppResult r =
-          n == 1 ? auto_runner.run(w, throttle::Baseline{}) : auto_runner.run(w, throttle::Fixed{{n, 0}});
+          n == 1 ? runner.run(w, throttle::Baseline{}) : runner.run(w, throttle::Fixed{{n, 0}});
       const double norm = static_cast<double>(r.total_cycles) /
                           static_cast<double>(base.total_cycles);
       normalized[fill][32 / n] = norm;

@@ -17,12 +17,11 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   TextTable table({"kernel", "baseline", "BFTT", "CATT"});
   CsvWriter csv({"kernel", "baseline_hit_rate", "bftt_hit_rate", "catt_hit_rate"});
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
-    const bench::Comparison c = bench::compare(auto_runner, *w);
+    const bench::Comparison c = bench::compare(runner, *w);
     // One bar per *distinct kernel* (first schedule occurrence), as in the
     // paper's ATAX#1 / ATAX#2 labeling.
     std::set<std::string> seen;

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   TextTable table({"app", "baseline(cyc)", "BFTT", "CATT", "BFTT speedup", "CATT speedup"});
   CsvWriter csv({"app", "baseline_cycles", "bftt_cycles", "catt_cycles", "bftt_speedup",
                  "catt_speedup", "bftt_factor"});
@@ -29,7 +28,7 @@ int main(int argc, char** argv) {
   std::vector<double> catt_speedups;
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
-    const bench::Comparison c = bench::compare(auto_runner, *w);
+    const bench::Comparison c = bench::compare(runner, *w);
     bftt_speedups.push_back(c.bftt_speedup());
     catt_speedups.push_back(c.catt_speedup());
     table.row()

@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   TextTable table({"app", "baseline(cyc)", "BFTT speedup", "CATT speedup", "CATT throttled?"});
   CsvWriter csv({"app", "baseline_cycles", "bftt_speedup", "catt_speedup", "catt_throttled"});
 
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
   std::vector<double> catt_speedups;
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCI, bench::kNumSms)) {
-    const bench::Comparison c = bench::compare(auto_runner, *w);
+    const bench::Comparison c = bench::compare(runner, *w);
     bool throttled = false;
     for (const auto& choice : c.catt.choices) {
       for (const auto& l : choice.loops) {

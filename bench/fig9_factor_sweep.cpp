@@ -16,13 +16,12 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   CsvWriter csv({"app", "factor", "active_warps_frac", "normalized_time", "is_catt_pick",
                  "is_best"});
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kCS, bench::kNumSms)) {
-    const throttle::AppResult base = auto_runner.run(*w, throttle::Baseline{});
-    const throttle::AppResult catt = auto_runner.run(*w, throttle::Catt{});
+    const throttle::AppResult base = runner.run(*w, throttle::Baseline{});
+    const throttle::AppResult catt = runner.run(*w, throttle::Catt{});
     const double catt_norm =
         static_cast<double>(catt.total_cycles) / static_cast<double>(base.total_cycles);
 
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     for (const throttle::FixedFactor& f : runner.candidate_factors(*w)) {
       if (f.tb_limit != 0) continue;  // Figure 9 sweeps the warp axis
       const throttle::AppResult r =
-          f.n_divisor == 1 ? auto_runner.run(*w, throttle::Baseline{}) : auto_runner.run(*w, throttle::Fixed{f});
+          f.n_divisor == 1 ? runner.run(*w, throttle::Baseline{}) : runner.run(*w, throttle::Fixed{f});
       pts.push_back(
           {f, static_cast<double>(r.total_cycles) / static_cast<double>(base.total_cycles)});
     }

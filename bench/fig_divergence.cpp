@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   runner.sim_options.sched = bench::sched_from_args(argc, argv);
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
   CsvWriter csv({"app", "kernel", "factor", "cycles", "normalized_time", "branches",
                  "divergent_branches", "reconvergences", "max_depth", "simd_mem_eff",
                  "is_catt_pick", "is_best"});
@@ -29,8 +28,8 @@ int main(int argc, char** argv) {
   };
 
   for (const wl::Workload* w : wl::workloads_in_group(wl::Group::kIrregular, bench::kNumSms)) {
-    const throttle::AppResult base = auto_runner.run(*w, throttle::Baseline{});
-    const throttle::AppResult catt = auto_runner.run(*w, throttle::Catt{});
+    const throttle::AppResult base = runner.run(*w, throttle::Baseline{});
+    const throttle::AppResult catt = runner.run(*w, throttle::Catt{});
     const double catt_norm =
         static_cast<double>(catt.total_cycles) / static_cast<double>(base.total_cycles);
 
@@ -59,8 +58,8 @@ int main(int argc, char** argv) {
     std::vector<Point> pts;
     for (const throttle::FixedFactor& f : runner.candidate_factors(*w)) {
       sweep_results.push_back(f.n_divisor == 1 && f.tb_limit == 0
-                                  ? auto_runner.run(*w, throttle::Baseline{})
-                                  : auto_runner.run(*w, throttle::Fixed{f}));
+                                  ? runner.run(*w, throttle::Baseline{})
+                                  : runner.run(*w, throttle::Fixed{f}));
       pts.push_back({f,
                      static_cast<double>(sweep_results.back().total_cycles) /
                          static_cast<double>(base.total_cycles),

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   throttle::Runner runner(bench::max_l1d_arch());
   const auto disk_cache = bench::cache_from_args(argc, argv);
   runner.set_disk_cache(disk_cache.get());
-  bench::AutoRunner auto_runner(runner);
 
   // Each configuration has its own SimOptions fingerprint, so the shared
   // SimCache never mixes columns up — and the baseline runs are reused
@@ -80,13 +79,13 @@ int main(int argc, char** argv) {
     const char* gname = g == wl::Group::kCS ? "CS" : "CI";
     for (const wl::Workload* w : wl::workloads_in_group(g, bench::kNumSms)) {
       runner.sim_options.sched = none;
-      const throttle::AppResult base = auto_runner.run(*w, throttle::Baseline{});
+      const throttle::AppResult base = runner.run(*w, throttle::Baseline{});
 
       std::vector<std::int64_t> cycles(cols.size(), 0);
       std::vector<double> sp(cols.size(), 0.0);
       for (std::size_t i = 0; i < cols.size(); ++i) {
         runner.sim_options.sched = cols[i].sched;
-        const throttle::AppResult r = auto_runner.run(*w, cols[i].policy);
+        const throttle::AppResult r = runner.run(*w, cols[i].policy);
         cycles[i] = r.total_cycles;
         sp[i] = bench::speedup(base.total_cycles, r.total_cycles);
       }

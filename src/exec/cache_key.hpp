@@ -1,6 +1,5 @@
 // Versioned cache-key builder for every content-addressed tier of the
-// execution engine (the in-process SimCache, the on-disk cache, and the
-// daemon's single-flight table).
+// execution engine (the in-process SimCache and the on-disk cache).
 //
 // CacheKey replaces the former free exec::fingerprint() overloads with one
 // builder type so every key is seeded the same way: an engine-version salt

@@ -1,8 +1,8 @@
 // Disk-backed, content-addressed cache of execution-engine artifacts
-// (KernelStats payloads for the SimService, ThrottlePlan payloads for the
-// PlanService). This is the persistent tier behind the in-process SimCache:
-// many bench/sweep processes — and the catt_serve daemon — point at one
-// directory and share every simulation ever run for a given engine version.
+// (KernelStats payloads for the Runner's launch stats, ThrottlePlan
+// payloads for the PlanService). This is the persistent tier behind the
+// in-process SimCache: many bench/sweep processes point at one directory
+// and share every simulation ever run for a given engine version.
 //
 // Layout: <dir>/<first-2-hex>/<16-hex-key>-<kind>.ce, one entry per file.
 // Each file is a fixed header (magic, format version, engine-version salt,
@@ -76,7 +76,7 @@ class DiskCache {
   /// Throws catt::SimError when the directory cannot be created.
   explicit DiskCache(DiskCacheConfig cfg);
 
-  // Raw payload interface (used by the services and the daemon).
+  // Raw payload interface (the typed helpers below wrap it).
   std::optional<std::string> get(std::uint64_t key, PayloadKind kind);
   /// Publishes; returns false when the entry could not be written (IO
   /// error, or evict=none and the cache is full). Never throws.

@@ -56,6 +56,17 @@ std::string Reader::str() {
   return s;
 }
 
+std::uint64_t Reader::count(std::size_t min_size, const char* what) {
+  const std::size_t at = pos_;
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_size) {
+    throw SimError(std::string("wire: ") + what + " count " + std::to_string(n) +
+                   " at byte " + std::to_string(at) + " exceeds the " +
+                   std::to_string(remaining()) + " remaining bytes");
+  }
+  return n;
+}
+
 void Reader::expect_done(const char* what) const {
   if (!done()) {
     throw SimError(std::string("wire: ") + what + ": " + std::to_string(remaining()) +
@@ -172,7 +183,8 @@ sim::KernelStats decode_kernel_stats(Reader& r) {
   s.sched_paused_tbs = r.i32();
   s.sched_max_paused_tbs = r.i32();
   s.occ = decode_occupancy(r);
-  const std::uint64_t n = r.u64();
+  // Element sizes: Point is u64 + f64; Decision is i64 + 4 x i32 + u8.
+  const std::uint64_t n = r.count(16, "request_trace");
   s.request_trace.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     sim::SeriesAccum::Point p;
@@ -180,7 +192,7 @@ sim::KernelStats decode_kernel_stats(Reader& r) {
     p.mean = r.f64();
     s.request_trace.push_back(p);
   }
-  const std::uint64_t n_dec = r.u64();
+  const std::uint64_t n_dec = r.count(25, "sched_decisions");
   s.sched_decisions.reserve(n_dec);
   for (std::uint64_t i = 0; i < n_dec; ++i) {
     sim::sched::Decision d;
@@ -206,7 +218,7 @@ void encode(Writer& w, const analysis::ThrottlePlan& p) {
 
 analysis::ThrottlePlan decode_throttle_plan(Reader& r) {
   analysis::ThrottlePlan p;
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8, "warp_throttles");  // 2 x i32 each
   p.warp_throttles.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     analysis::ThrottlePlan::LoopThrottle t;

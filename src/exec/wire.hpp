@@ -1,17 +1,17 @@
-// Binary serialization shared by the disk cache and the daemon protocol.
+// Binary serialization of the disk cache's payloads.
 //
 // Encoding rules: all integers little-endian and fixed-width, strings and
 // vectors length-prefixed (u64 count), doubles bit_cast to u64. Every
 // value is written field by field — never memcpy of a struct — so the
 // format is independent of padding, endianness of the host, and compiler.
 // Decoders validate bounds on every read and throw catt::SimError on
-// malformed input; a truncated or bit-flipped disk entry or wire frame is
-// reported, never silently misread.
+// malformed input (vector counts included: a count the rest of the buffer
+// cannot hold is rejected before anything is allocated); a truncated,
+// bit-flipped or forged disk entry is reported, never silently misread.
 //
-// The codecs here cover the payload types the services exchange:
-// sim::KernelStats (the SimService artifact) and analysis::ThrottlePlan
-// (the PlanService artifact). AppResult — the throttle-layer aggregate —
-// is encoded in throttle/remote.cpp on top of these primitives.
+// The codecs here cover the two payload types the disk cache stores:
+// sim::KernelStats (a launch's stats, cached by throttle::Runner) and
+// analysis::ThrottlePlan (the PlanService artifact).
 #pragma once
 
 #include <cstdint>
@@ -55,6 +55,11 @@ class Reader {
   bool b() { return u8() != 0; }
   double f64();
   std::string str();
+  /// Reads a u64 element count for a vector whose elements encode to at
+  /// least `min_size` bytes each. Throws SimError unless that many
+  /// elements fit in the rest of the buffer, so a forged count fails here
+  /// instead of in reserve().
+  std::uint64_t count(std::size_t min_size, const char* what);
 
   std::size_t remaining() const { return in_.size() - pos_; }
   bool done() const { return pos_ == in_.size(); }

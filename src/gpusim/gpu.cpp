@@ -110,7 +110,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
   }
 
   // Observability: resolved once per launch; null means every hook below
-  // is skipped (and in CATT_OBS=OFF builds the compiler deletes them).
+  // is skipped.
   const obs::SimObs* ob = obs::resolve(opts.obs);
   // Every timing-engine invocation is visible here; PlanService's
   // no-simulation contract is asserted against this counter.

@@ -15,7 +15,6 @@
 #include "common/string_util.hpp"
 #include "harness/spec.hpp"
 #include "obs/obs.hpp"
-#include "throttle/remote.hpp"
 
 namespace catt::bench {
 
@@ -62,60 +61,6 @@ Comparison compare(throttle::Runner& runner, const wl::Workload& w) {
   // The baseline goes first so its per-launch simulations are cached
   // before the BFTT sweep probes its identity candidate and CATT probes
   // any kernels it leaves untransformed.
-  c.baseline = runner.run(w, throttle::Baseline{});
-  c.bftt = runner.bftt_sweep(w);
-  c.catt = runner.run(w, throttle::Catt{});
-  return c;
-}
-
-std::unique_ptr<exec::Client> client_from_env() {
-  const char* env = std::getenv("CATT_SERVE_SOCKET");
-  if (env == nullptr || *env == '\0') return nullptr;
-  try {
-    auto client = std::make_unique<exec::Client>(env);
-    if (client->ping()) return client;
-    std::fprintf(stderr, "[bench] daemon at %s answered with a version mismatch; "
-                         "running locally\n", env);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[bench] CATT_SERVE_SOCKET=%s unreachable (%s); running locally\n",
-                 env, e.what());
-  }
-  return nullptr;
-}
-
-namespace {
-
-/// The wire protocol names two machines; anything else (capacity-swept
-/// arches, tests) cannot be asked of the daemon.
-std::string protocol_arch_name(const arch::GpuArch& a) {
-  if (a.name == arch::GpuArch::titan_v(a.num_sms).name) return "titan_v";
-  if (a.name == arch::GpuArch::titan_v_32k_l1d(a.num_sms).name) return "titan_v_32k";
-  return "";
-}
-
-}  // namespace
-
-AutoRunner::AutoRunner(throttle::Runner& local) : local_(&local) {
-  arch_name_ = protocol_arch_name(local.gpu_arch());
-  if (!arch_name_.empty()) client_ = client_from_env();
-}
-
-throttle::AppResult AutoRunner::run(const wl::Workload& w, const throttle::Policy& policy) {
-  if (client_ != nullptr) {
-    const sim::sched::PolicyConfig& sched = local_->sim_options.sched;
-    throttle::RemoteRunner remote(*client_, arch_name_, local_->gpu_arch().num_sms,
-                                  sched.enabled() ? sched.str() : "");
-    return remote.run(w.name, policy);
-  }
-  return local_->run(w, policy);
-}
-
-throttle::Runner::BfttOutcome AutoRunner::bftt_sweep(const wl::Workload& w) {
-  return local_->bftt_sweep(w);
-}
-
-Comparison compare(AutoRunner& runner, const wl::Workload& w) {
-  Comparison c;
   c.baseline = runner.run(w, throttle::Baseline{});
   c.bftt = runner.bftt_sweep(w);
   c.catt = runner.run(w, throttle::Catt{});
@@ -248,8 +193,7 @@ std::vector<PolicyColumn> policies_from_args(int argc, char** argv,
 std::shared_ptr<exec::DiskCache> cache_from_args(int argc, char** argv) {
   std::string spec = harness::flag_or_env(argc, argv, "cache", nullptr);
   if (spec.empty()) {
-    // The env fallback is a bare directory, not a spec: CATT_CACHE_DIR is
-    // what CI and the daemon quick-start export.
+    // The env fallback is a bare directory, not a spec.
     if (const char* env = std::getenv("CATT_CACHE_DIR"); env != nullptr && *env != '\0') {
       spec = "dir:path=" + std::string(env);
     }

@@ -9,7 +9,6 @@
 
 #include "arch/gpu_arch.hpp"
 #include "common/table.hpp"
-#include "exec/client.hpp"
 #include "exec/disk_cache.hpp"
 #include "throttle/runner.hpp"
 #include "workloads/workload.hpp"
@@ -45,45 +44,6 @@ struct Comparison {
 /// candidate (N=1, uncapped) and CATT on untransformed workloads reuse
 /// them instead of re-simulating.
 Comparison compare(throttle::Runner& runner, const wl::Workload& w);
-
-/// Daemon auto-detection (ROADMAP item 1): when CATT_SERVE_SOCKET is set
-/// and a catt_serve daemon answers a ping there, returns the connected
-/// client. Returns null when the variable is unset — and also when it
-/// names a dead/stale socket, after one stderr warning, so benches degrade
-/// to local simulation instead of dying (harness_test pins this fallback).
-std::unique_ptr<exec::Client> client_from_env();
-
-/// Runner facade the bench drivers route policy runs through: when
-/// client_from_env() finds a live daemon and the wrapped Runner's arch is
-/// one the wire protocol names (titan_v / titan_v_32k), run() is answered
-/// by the daemon — which simulates at most once per distinct query across
-/// all connected clients — and is byte-identical to the local result
-/// (pinned by runner_test). Everything else (no daemon, unknown arch, the
-/// BFTT sweep whose per-candidate vector the protocol does not carry)
-/// falls back to the wrapped local Runner. The scheduler spec is re-read
-/// from the local Runner's sim_options on every call, so benches that
-/// flip policies between runs stay correct.
-class AutoRunner {
- public:
-  /// Wraps `local` (borrowed; must outlive the AutoRunner).
-  explicit AutoRunner(throttle::Runner& local);
-
-  throttle::AppResult run(const wl::Workload& w, const throttle::Policy& policy);
-  /// Always local: the sweep vector is not available over the wire.
-  throttle::Runner::BfttOutcome bftt_sweep(const wl::Workload& w);
-
-  bool uses_daemon() const { return client_ != nullptr; }
-  throttle::Runner& local() { return *local_; }
-
- private:
-  throttle::Runner* local_;
-  std::unique_ptr<exec::Client> client_;
-  std::string arch_name_;  // protocol name; empty = arch not wire-nameable
-};
-
-/// compare() with daemon routing: baseline and CATT go through `runner`
-/// (remote when available), the BFTT sweep runs locally.
-Comparison compare(AutoRunner& runner, const wl::Workload& w);
 
 /// Speedup of `cycles` relative to `baseline_cycles` (>1 = faster).
 double speedup(std::int64_t baseline_cycles, std::int64_t cycles);

@@ -39,7 +39,6 @@ std::int64_t env_metrics_interval() {
 }
 
 const SimObs* env_sim_obs() {
-  if constexpr (!kCompiledIn) return nullptr;
   // The env SimObs is rebuilt lazily so an override_trace_level() call
   // before the first launch (the --trace-out path) is honoured; after
   // first use the configuration is frozen for the process lifetime.

@@ -1,9 +1,7 @@
 // Umbrella header for the observability subsystem: run-time configuration
-// (SimObs), the environment knobs (CATT_TRACE, CATT_METRICS_INTERVAL), and
-// the compile-time stub switch. Simulator code takes a `const SimObs*`
-// (null = everything off) and calls obs::resolve() once per launch; when
-// the library is built with CATT_OBS=OFF resolve() constant-folds to
-// nullptr and all hooks compile out.
+// (SimObs) and the environment knobs (CATT_TRACE, CATT_METRICS_INTERVAL).
+// Simulator code takes a `const SimObs*` (null = everything off) and calls
+// obs::resolve() once per launch; a null result skips every hook.
 #pragma once
 
 #include <chrono>
@@ -16,14 +14,6 @@
 #include "obs/trace.hpp"
 
 namespace catt::obs {
-
-/// True when the library was built with observability compiled in
-/// (CMake option CATT_OBS, default ON).
-#if defined(CATT_OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// Per-run observability configuration, attached to SimOptions. The
 /// pointer is deliberately excluded from SimOptions::fingerprint():
@@ -68,10 +58,8 @@ std::int64_t env_metrics_interval();
 const SimObs* env_sim_obs();
 
 /// Gate for every hook site: returns the configured SimObs only when it is
-/// active, and constant-folds to nullptr in CATT_OBS=OFF builds so the
-/// whole hook statically disappears.
+/// active, else the env-configured one (null when every knob is off).
 inline const SimObs* resolve(const SimObs* configured) {
-  if constexpr (!kCompiledIn) return nullptr;
   if (configured != nullptr) return configured->active() ? configured : nullptr;
   return env_sim_obs();
 }

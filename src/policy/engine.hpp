@@ -33,9 +33,9 @@
 // the compile-time plan left code untransformed.
 //
 // Everything here is deliberately simulator-agnostic plain state (no obs
-// dependency, no engine types beyond plain counts), so a -DCATT_OBS=OFF
-// build drives the controller from the engine-internal sample path
-// unchanged, and unit tests (tests/policy_test.cpp) can step it directly.
+// dependency, no engine types beyond plain counts): the engine drives the
+// controller from its internal sample path whether or not obs is active,
+// and unit tests (tests/policy_test.cpp) can step it directly.
 #pragma once
 
 #include <cstdint>

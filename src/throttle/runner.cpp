@@ -150,21 +150,24 @@ sim::KernelStats simulate_entry(sim::Gpu& gpu, const PlanEntry& pe,
   return agg;
 }
 
-/// Executes a plan through the sim service: if every chained key resolves
-/// (from the in-process L1 or the attached disk tier) the run is assembled
-/// without simulating (one hit per launch, atomically — see
-/// SimCache::lookup_run); otherwise the whole application is simulated
-/// from a fresh memory image and each launch's stats are published to
-/// every tier (one miss per launch). Thread-safe: callers on different
-/// pool threads each build their own Gpu + DeviceMemory.
+/// Executes a plan through the cache tiers: if every chained key resolves
+/// (from the in-process SimCache or the attached disk tier, whose hits are
+/// promoted into the SimCache) the run is assembled without simulating
+/// (one hit per launch, atomically — see SimCache::lookup_run); otherwise
+/// the whole application is simulated from a fresh memory image and each
+/// launch's stats are published to every tier (one miss per launch).
+/// Thread-safe: callers on different pool threads each build their own
+/// Gpu + DeviceMemory.
 RunOutput run_plan_cached(const arch::GpuArch& arch, const sim::SimOptions& sim_options,
-                          exec::SimService& service, const wl::Workload& w,
-                          const RunPlan& plan) {
+                          exec::SimCache& cache, exec::DiskCache* disk,
+                          const wl::Workload& w, const RunPlan& plan) {
   RunOutput out;
   std::vector<std::uint64_t> keys;
   keys.reserve(plan.entries.size());
   for (const auto& pe : plan.entries) keys.push_back(pe.key);
-  if (auto cached = service.assemble(keys); cached.has_value()) {
+  exec::SimCache::FetchFn fetch;
+  if (disk != nullptr) fetch = [disk](std::uint64_t k) { return disk->get_stats(k); };
+  if (auto cached = cache.lookup_run(keys, fetch); cached.has_value()) {
     out.launches = std::move(*cached);
     for (const auto& launch : out.launches) out.total_cycles += launch.cycles;
     return out;
@@ -192,7 +195,8 @@ RunOutput run_plan_cached(const arch::GpuArch& arch, const sim::SimOptions& sim_
     }
     sim::KernelStats agg = simulate_entry(gpu, pe, entry_opts);
     if (last_use[pe.trace_key] == i) gpu.release_traces(pe.trace_key);
-    service.publish(pe.key, agg);
+    cache.insert(pe.key, agg);
+    if (disk != nullptr) disk->put_stats(pe.key, agg);
     out.total_cycles += agg.cycles;
     out.launches.push_back(std::move(agg));
   }
@@ -343,10 +347,10 @@ AppResult Runner::run(const wl::Workload& w, const Policy& policy) {
     const wl::Workload& w;
     const Policy& policy;
 
-    AppResult cached(const RunPlan& plan) const {
-      return assemble(w, plan,
-                      run_plan_cached(self.arch_, self.sim_options, self.service_, w, plan),
-                      policy.label());
+    AppResult cached(const RunPlan& plan) const { return cached(plan, self.sim_options); }
+    AppResult cached(const RunPlan& plan, const sim::SimOptions& opts) const {
+      RunOutput out = run_plan_cached(self.arch_, opts, self.cache_, self.disk_, w, plan);
+      return assemble(w, plan, std::move(out), policy.label());
     }
 
     AppResult operator()(const Baseline&) const {
@@ -366,9 +370,7 @@ AppResult Runner::run(const wl::Workload& w, const Policy& policy) {
       // plan's chain seed, so adaptive runs get their own cache identity.
       sim::SimOptions o = self.sim_options;
       o.sched = p.sched;
-      const RunPlan plan = make_catt_plan(self.arch_, o, self.plans_, w, p.opts);
-      return assemble(w, plan, run_plan_cached(self.arch_, o, self.service_, w, plan),
-                      policy.label());
+      return cached(make_catt_plan(self.arch_, o, self.plans_, w, p.opts), o);
     }
   };
   return std::visit(Visitor{*this, w, policy}, policy.variant());
@@ -402,7 +404,7 @@ Runner::BfttOutcome Runner::bftt_sweep(const wl::Workload& w) {
   std::vector<RunOutput> outputs(rep.size());
   exec::SweepEngine engine(*pool_);
   engine.for_each(rep.size(), [&](std::size_t g) {
-    outputs[g] = run_plan_cached(arch_, sim_options, service_, w, plans[rep[g]]);
+    outputs[g] = run_plan_cached(arch_, sim_options, cache_, disk_, w, plans[rep[g]]);
   });
 
   BfttOutcome outcome;

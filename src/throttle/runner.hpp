@@ -19,7 +19,7 @@
 // Runner::run(workload, policy) is the single entry point. Execution goes
 // through the exec:: engine: candidate simulations fan out across a thread
 // pool and every per-launch result is memoized in a content-addressed
-// SimCache, so repeated configurations (clamped duplicate factors, the
+// SimCache (backed by an optional on-disk DiskCache), so repeated configurations (clamped duplicate factors, the
 // baseline inside a sweep, CATT on untransformed workloads) are simulated
 // exactly once per Runner. Results are bit-identical to serial execution.
 #pragma once
@@ -34,7 +34,6 @@
 #include "exec/plan_service.hpp"
 #include "exec/pool.hpp"
 #include "exec/sim_cache.hpp"
-#include "exec/sim_service.hpp"
 #include "gpusim/gpu.hpp"
 #include "workloads/workload.hpp"
 
@@ -149,7 +148,7 @@ class Runner {
   /// process-wide exec::Pool::shared() (sized by CATT_JOBS, see DESIGN.md).
   explicit Runner(arch::GpuArch gpu_arch, exec::Pool* pool = nullptr);
 
-  /// Runs `w` under `policy`. The only non-deprecated run entry point.
+  /// Runs `w` under `policy`. The single run entry point.
   AppResult run(const wl::Workload& w, const Policy& policy);
 
   /// Static analysis only (no simulation): the choices CATT would make.
@@ -176,45 +175,21 @@ class Runner {
   /// pool, deduplicated through the SimCache.
   BfttOutcome bftt_sweep(const wl::Workload& w);
 
-  // --- deprecated forwarders (migrate to run(w, Policy)) ---
-
-  [[deprecated("use run(w, Baseline{})")]] AppResult run_baseline(const wl::Workload& w) {
-    return run(w, Baseline{});
-  }
-  [[deprecated("use run(w, Catt{opts})")]] AppResult run_catt(
-      const wl::Workload& w, const analysis::AnalysisOptions& opts = {}) {
-    return run(w, Catt{opts});
-  }
-  [[deprecated("use run(w, Fixed{f})")]] AppResult run_fixed(const wl::Workload& w,
-                                                             const FixedFactor& f) {
-    return run(w, Fixed{f});
-  }
-  [[deprecated("use run(w, Dyncta{low_hit, high_hit})")]] AppResult run_dyncta(
-      const wl::Workload& w, double low_hit = 0.60, double high_hit = 0.90) {
-    return run(w, Dyncta{low_hit, high_hit});
-  }
-  [[deprecated("use bftt_sweep(w) (or run(w, Bftt{}) for just the winner)")]] BfttOutcome
-  run_bftt(const wl::Workload& w) {
-    return bftt_sweep(w);
-  }
-
   const arch::GpuArch& gpu_arch() const { return arch_; }
 
   /// Per-Runner memoization of launch simulations (hit/miss counters are
-  /// exposed for tests and capacity planning). This is the L1 tier behind
-  /// sim_service().
+  /// exposed for tests and capacity planning). This is the in-process tier
+  /// in front of the optional disk cache.
   const exec::SimCache& cache() const { return cache_; }
   exec::SimCache& cache() { return cache_; }
 
-  /// Attaches the shared persistent tier to both services (null detaches).
-  /// The caller keeps ownership; the DiskCache must outlive the Runner.
+  /// Attaches the shared persistent tier behind both the SimCache and the
+  /// PlanService (null detaches). The caller keeps ownership; the
+  /// DiskCache must outlive the Runner.
   void set_disk_cache(exec::DiskCache* disk) {
-    service_.set_disk(disk);
+    disk_ = disk;
     plans_.set_disk(disk);
   }
-
-  /// stats_for service: launch stats through L1 (the SimCache) + disk.
-  exec::SimService& sim_service() { return service_; }
 
   /// plan_for service: CATT analysis/plans, memoized, never simulating.
   exec::PlanService& plan_service() const { return plans_; }
@@ -229,7 +204,7 @@ class Runner {
   arch::GpuArch arch_;
   exec::Pool* pool_;
   exec::SimCache cache_;
-  exec::SimService service_{cache_};
+  exec::DiskCache* disk_ = nullptr;
   mutable exec::PlanService plans_{arch_};
 };
 

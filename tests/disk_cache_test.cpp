@@ -1,7 +1,7 @@
 // Disk-cache tier tests: typed payload round-trips, atomic publish under
 // concurrent writers (the TSan target: two pools racing on the same keys),
-// corrupt/truncated-entry recovery, engine-version-salt invalidation, and
-// LRU eviction with touch-on-hit.
+// corrupt/truncated/forged-entry recovery, engine-version-salt
+// invalidation, and LRU eviction with touch-on-hit.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "exec/disk_cache.hpp"
 #include "exec/pool.hpp"
 #include "exec/wire.hpp"
@@ -158,6 +159,73 @@ TEST(DiskCache, EngineVersionSkewInvalidates) {
 
   // ... and the old engine in turn rejects the new entry.
   EXPECT_FALSE(old_engine.get_stats(8).has_value());
+}
+
+/// Overwrites the little-endian u64 at `at` in an encoded payload.
+std::string with_u64_at(std::string bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+  return bytes;
+}
+
+TEST(DiskCache, ForgedVectorCountsAreMissesNotCrashes) {
+  // A count field the payload cannot hold must fail with a located
+  // SimError before anything is reserved: the checksum is no defence
+  // (put() computes a valid one over any bytes), and get_stats/get_plan
+  // only turn SimError into a miss.
+  const std::string stats = wire::encode_kernel_stats(stats_with(3));
+  const std::string plan = wire::encode_throttle_plan(analysis::ThrottlePlan{});
+  struct Field {
+    const char* name;
+    PayloadKind kind;
+    std::string bytes;
+    std::size_t at;  // offset of the u64 count
+  };
+  // stats_with() has no trace points or decisions, so the two counts are
+  // the last 16 bytes; a default plan's count leads, before tb_limit.
+  const Field fields[] = {
+      {"request_trace", PayloadKind::kKernelStats, stats, stats.size() - 16},
+      {"sched_decisions", PayloadKind::kKernelStats, stats, stats.size() - 8},
+      {"warp_throttles", PayloadKind::kThrottlePlan, plan, 0},
+  };
+  DiskCache cache({.dir = fresh_dir("forged")});
+  std::uint64_t key = 100;
+  for (const Field& f : fields) {
+    for (const std::uint64_t count : {~std::uint64_t{0}, std::uint64_t{1} << 40}) {
+      SCOPED_TRACE(std::string(f.name) + " count " + std::to_string(count));
+      const std::string forged = with_u64_at(f.bytes, f.at, count);
+      try {
+        if (f.kind == PayloadKind::kKernelStats) {
+          (void)wire::decode_kernel_stats(forged);
+        } else {
+          (void)wire::decode_throttle_plan(forged);
+        }
+        ADD_FAILURE() << "forged count decoded";
+      } catch (const SimError& e) {
+        EXPECT_NE(std::string(e.what()).find(f.name), std::string::npos) << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a SimError: " << e.what();
+      }
+      ++key;
+      ASSERT_TRUE(cache.put(key, f.kind, forged));
+      if (f.kind == PayloadKind::kKernelStats) {
+        EXPECT_FALSE(cache.get_stats(key).has_value());
+      } else {
+        EXPECT_FALSE(cache.get_plan(key).has_value());
+      }
+    }
+  }
+
+  // The bound is exact: vectors that fill the rest of the payload still
+  // decode (the decision count is last, so it sits right at the limit).
+  sim::KernelStats full = stats_with(4);
+  full.request_trace = {{1, 0.5}, {2, 0.25}};
+  full.sched_decisions.resize(2);
+  full.sched_decisions[1].cycle = 9;
+  EXPECT_EQ(wire::encode_kernel_stats(wire::decode_kernel_stats(wire::encode_kernel_stats(full))),
+            wire::encode_kernel_stats(full));
+  analysis::ThrottlePlan p;
+  p.warp_throttles = {{0, 2}, {3, 4}};
+  EXPECT_EQ(wire::decode_throttle_plan(wire::encode_throttle_plan(p)).warp_throttles.size(), 2u);
 }
 
 TEST(DiskCache, EvictNoneRefusesWhenFull) {

@@ -204,44 +204,3 @@ TEST(CacheFromArgsDeathTest, BadSpecExitsTwo) {
 }
 
 }  // namespace
-// Appended: daemon auto-detection.
-// The contract under test: a dead or stale CATT_SERVE_SOCKET must degrade
-// to local simulation — client_from_env() returns null and an AutoRunner
-// still answers run() with the local Runner's (byte-identical) result —
-// never crash a bench.
-#include "workloads/workload.hpp"
-
-namespace {
-
-TEST(ClientFromEnv, UnsetReturnsNull) {
-  const ScopedEnv env("CATT_SERVE_SOCKET", "");
-  EXPECT_EQ(bench::client_from_env(), nullptr);
-}
-
-TEST(ClientFromEnv, DeadSocketWarnsAndReturnsNull) {
-  const std::string sock = ::testing::TempDir() + "catt_harness_dead.sock";
-  std::remove(sock.c_str());
-  const ScopedEnv env("CATT_SERVE_SOCKET", sock.c_str());
-  // Nothing listens at the path: construction throws inside and the
-  // helper swallows it into the local-fallback null.
-  EXPECT_EQ(bench::client_from_env(), nullptr);
-}
-
-TEST(AutoRunner, DeadSocketFallsBackToLocalRun) {
-  const std::string sock = ::testing::TempDir() + "catt_harness_dead2.sock";
-  std::remove(sock.c_str());
-  const ScopedEnv env("CATT_SERVE_SOCKET", sock.c_str());
-
-  throttle::Runner runner(bench::max_l1d_arch());
-  bench::AutoRunner auto_runner(runner);
-  EXPECT_FALSE(auto_runner.uses_daemon());
-  EXPECT_EQ(&auto_runner.local(), &runner);
-
-  const wl::Workload& w = wl::find_workload("atax", bench::kNumSms);
-  const throttle::AppResult via_auto = auto_runner.run(w, throttle::Baseline{});
-  const throttle::AppResult direct = runner.run(w, throttle::Baseline{});
-  EXPECT_EQ(via_auto.total_cycles, direct.total_cycles);
-  EXPECT_GT(via_auto.total_cycles, 0);
-}
-
-}  // namespace

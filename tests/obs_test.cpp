@@ -394,11 +394,7 @@ TEST(SimObs, ResolveGatesOnActivity) {
 
   SimObs on;
   on.metrics_interval = 64;
-  if constexpr (kCompiledIn) {
-    EXPECT_EQ(resolve(&on), &on);
-  } else {
-    EXPECT_EQ(resolve(&on), nullptr);
-  }
+  EXPECT_EQ(resolve(&on), &on);
 }
 
 TEST(SimObs, AccumMirrorsIntoRegistry) {

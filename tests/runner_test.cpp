@@ -204,18 +204,6 @@ TEST(Policy, ResultPolicyFieldIsTheLabel) {
   EXPECT_EQ(best.policy.rfind("bftt[", 0), 0u);
 }
 
-TEST(Policy, DeprecatedForwardersMatchUnifiedEntryPoint) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Runner& r = shared_runner();
-  const wl::Workload& w = wl::find_workload("gsmv", 2);
-  const AppResult via_forwarder = r.run_baseline(w);
-  const AppResult via_run = r.run(w, Baseline{});
-  EXPECT_EQ(via_forwarder.total_cycles, via_run.total_cycles);
-  EXPECT_EQ(via_forwarder.policy, via_run.policy);
-#pragma GCC diagnostic pop
-}
-
 }  // namespace
 }  // namespace catt::throttle
 // Appended: observability must be invisible to results (the fingerprint
@@ -445,142 +433,85 @@ TEST(SchedSeam, AdaptiveActsOnIrregularWorkload) {
 
 }  // namespace
 }  // namespace catt::throttle
-// Appended: the daemon path must be invisible to results — a RemoteRunner
-// answered by catt_serve's core (cold, warm, and across a server restart
-// over the same disk cache) pins byte-identical AppResults to an
-// in-process Runner.
+// Appended: the disk tier must be invisible to results — a fresh Runner
+// over a warm DiskCache answers every policy and the full BFTT sweep
+// byte-identically, from disk alone.
 #include <filesystem>
 
-#include "common/error.hpp"
-#include "exec/client.hpp"
+#include "exec/disk_cache.hpp"
 #include "exec/wire.hpp"
-#include "harness/server.hpp"
-#include "throttle/remote.hpp"
 
 namespace catt::throttle {
 namespace {
 
-namespace fs = std::filesystem;
-
-/// Scoped in-process daemon on a fresh unix socket under TempDir.
-struct ScopedServer {
-  explicit ScopedServer(std::shared_ptr<exec::DiskCache> disk = nullptr) {
-    bench::ServerOptions opts;
-    opts.socket_path = ::testing::TempDir() + "catt_runner_test.sock";
-    opts.disk = std::move(disk);
-    server = std::make_unique<bench::Server>(std::move(opts));
-    server->start();
-  }
-  ~ScopedServer() { server->stop(); }
-  std::unique_ptr<bench::Server> server;
-};
-
-TEST(Daemon, WarmDaemonByteIdenticalToLocalRuns) {
-  const std::string cache_dir = ::testing::TempDir() + "catt_runner_daemon_cache";
-  fs::remove_all(cache_dir);
-  auto disk = std::make_shared<exec::DiskCache>(exec::DiskCacheConfig{.dir = cache_dir});
-
-  Runner local(bench::max_l1d_arch());
-  std::vector<std::string> local_bytes, cold_bytes;
-  for (const Policy& policy :
-       std::initializer_list<Policy>{Baseline{}, Catt{}, Fixed{{2, 0}}}) {
-    local_bytes.push_back(encode_app_result(local.run(wl::find_workload("gsmv", 2), policy)));
-  }
-
-  {
-    ScopedServer daemon(disk);
-    exec::Client client(daemon.server->socket_path());
-    ASSERT_TRUE(client.ping());
-    RemoteRunner remote(client, "titan_v", 2);
-    for (const Policy& policy :
-         std::initializer_list<Policy>{Baseline{}, Catt{}, Fixed{{2, 0}}}) {
-      cold_bytes.push_back(encode_app_result(remote.run("gsmv", policy)));
-      // Warm repeat within the same daemon: served from its caches,
-      // byte-identical.
-      EXPECT_EQ(cold_bytes.back(), encode_app_result(remote.run("gsmv", policy)));
+/// Every field of an AppResult, launches in their disk-cache encoding.
+std::string result_bytes(const AppResult& r) {
+  exec::wire::Writer out;
+  out.str(r.workload);
+  out.str(r.policy);
+  out.i64(r.total_cycles);
+  for (const auto& l : r.launches) out.str(exec::wire::encode_kernel_stats(l));
+  for (const auto& c : r.choices) {
+    out.str(c.kernel);
+    exec::wire::encode(out, c.baseline_occ);
+    for (const auto& loop : c.loops) {
+      out.i32(loop.loop_id);
+      out.i32(loop.warps);
+      out.i32(loop.tbs);
+      out.b(loop.unresolvable);
     }
   }
-  EXPECT_EQ(cold_bytes, local_bytes);
+  return out.take();
+}
 
-  // A *restarted* daemon over the same cache directory rebuilds every
-  // answer from the disk tier alone — still byte-identical, and with no
-  // new simulation for the launches already published (stats entries
-  // already on disk stay untouched).
-  const auto writes_before = disk->counters().writes;
+/// Baseline, CATT, one fixed factor and the BFTT sweep of gsmv, flattened.
+std::vector<std::string> gsmv_queries(Runner& r) {
+  const wl::Workload& w = wl::find_workload("gsmv", 2);
+  std::vector<std::string> out;
+  for (const Policy& policy : std::initializer_list<Policy>{Baseline{}, Catt{}, Fixed{{2, 0}}}) {
+    out.push_back(result_bytes(r.run(w, policy)));
+  }
+  const Runner::BfttOutcome sweep = r.bftt_sweep(w);
+  out.push_back(result_bytes(sweep.best));
+  std::string points = sweep.factor.str();
+  for (const auto& [factor, cycles] : sweep.sweep) {
+    // Appended piecewise: "lit" + std::string trips GCC bug 105329.
+    points += ';';
+    points += factor.str();
+    points += '=';
+    points += std::to_string(cycles);
+  }
+  out.push_back(std::move(points));
+  return out;
+}
+
+TEST(Runner, FreshRunnerOverWarmDiskCacheIsByteIdentical) {
+  const std::string dir = ::testing::TempDir() + "catt_runner_warm_disk";
+  std::filesystem::remove_all(dir);
+
+  std::vector<std::string> cold;
   {
-    ScopedServer daemon(disk);
-    exec::Client client(daemon.server->socket_path());
-    RemoteRunner remote(client, "titan_v", 2);
-    EXPECT_EQ(encode_app_result(remote.run("gsmv", Baseline{})), local_bytes[0]);
-    EXPECT_EQ(encode_app_result(remote.run("gsmv", Catt{})), local_bytes[1]);
+    exec::DiskCache disk({.dir = dir});
+    Runner r(bench::max_l1d_arch());
+    r.set_disk_cache(&disk);
+    cold = gsmv_queries(r);
+    EXPECT_GT(r.cache().misses(), 0u);
+    EXPECT_GT(disk.counters().writes, 0u);
   }
-  EXPECT_EQ(disk->counters().writes, writes_before);
-}
 
-TEST(Daemon, PlanAndStatsOpsAnswerWithoutSimulating) {
-  const std::string cache_dir = ::testing::TempDir() + "catt_runner_daemon_ops";
-  fs::remove_all(cache_dir);
-  auto disk = std::make_shared<exec::DiskCache>(exec::DiskCacheConfig{.dir = cache_dir});
-  ScopedServer daemon(disk);
-  exec::Client client(daemon.server->socket_path());
-
-  // kOpPlan: the daemon's plan for atax schedule entry 0 equals the local
-  // PlanService's (static analysis on both ends, no timing run needed).
-  const wl::Workload& w = wl::find_workload("atax", 2);
-  exec::wire::Writer req;
-  req.str(w.name);
-  req.u32(2);
-  req.str("titan_v");
-  req.u32(0);
-  const std::string resp = client.call(exec::rpc::kOpPlan, req.take());
-  exec::PlanService plans(bench::max_l1d_arch());
-  const wl::KernelRun& entry = w.schedule.front();
-  EXPECT_EQ(resp, exec::wire::encode_throttle_plan(
-                      plans.plan_for(w.kernel(entry.kernel), entry.launch, entry.params)));
-
-  // kOpStats never computes: unknown key -> not found.
-  EXPECT_FALSE(client.stats_for(0xdeadbeefULL).has_value());
-
-  // After a run, every published stats entry is addressable through the
-  // daemon; recover a key from the content-addressed entry file name
-  // (<16 hex>-1.ce) and ask for it.
-  RemoteRunner remote(client, "titan_v", 2);
-  (void)remote.run("gsmv", Baseline{});
-  std::uint64_t key = 0;
-  bool found_entry = false;
-  for (const auto& e : fs::recursive_directory_iterator(cache_dir)) {
-    const std::string fname = e.path().filename().string();
-    if (e.is_regular_file() && fname.size() == 21 && fname.substr(16) == "-1.ce") {
-      key = std::stoull(fname.substr(0, 16), nullptr, 16);
-      found_entry = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found_entry);
-  EXPECT_TRUE(client.stats_for(key).has_value());
-
-  // Malformed and unanswerable requests surface as client-side SimError,
-  // not a dead connection: the same client keeps working afterwards.
-  EXPECT_THROW(client.call(exec::rpc::kOpRun, "garbage"), catt::SimError);
-  EXPECT_THROW(
-      [&] {
-        exec::wire::Writer bad;
-        bad.str("no_such_workload");
-        bad.u32(2);
-        bad.str("titan_v");
-        bad.str("baseline");
-        bad.str("");
-        return client.call(exec::rpc::kOpRun, bad.take());
-      }(),
-      catt::SimError);
-  EXPECT_TRUE(client.ping());
-}
-
-TEST(Daemon, ShutdownOpUnblocksWait) {
-  ScopedServer daemon;
-  std::thread waiter([&] { daemon.server->wait(); });
-  exec::Client(daemon.server->socket_path()).shutdown_server();
-  waiter.join();  // wait() returned because the op was honoured
+  // A new process's view: fresh in-memory tiers, same directory. Every
+  // launch resolves from disk (promoted into the SimCache), nothing is
+  // simulated, and nothing new is published.
+  exec::DiskCache disk({.dir = dir});
+  Runner r(bench::max_l1d_arch());
+  r.set_disk_cache(&disk);
+  const std::vector<std::string> warm = gsmv_queries(r);
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) EXPECT_EQ(warm[i], cold[i]) << "query " << i;
+  EXPECT_EQ(r.cache().misses(), 0u);
+  EXPECT_GT(r.cache().hits(), 0u);
+  EXPECT_EQ(disk.counters().writes, 0u);
+  EXPECT_GT(disk.counters().hits, 0u);
 }
 
 }  // namespace

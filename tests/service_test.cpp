@@ -1,23 +1,17 @@
-// Plan/sim service-layer tests: the PlanService's no-simulation contract
-// (pinned with the sim.gpu.launches obs counter — the acceptance criterion
-// for the plan/sim API split), two-tier assembly and publication in the
-// SimService, and single-flight deduplication of concurrent identical
-// queries.
+// Cache-tier tests: the PlanService's no-simulation contract (pinned with
+// the sim.gpu.launches obs counter — the acceptance criterion for the
+// plan/sim API split), and two-tier assembly and publication of launch
+// stats through the SimCache over a DiskCache.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/disk_cache.hpp"
 #include "exec/plan_service.hpp"
 #include "exec/sim_cache.hpp"
-#include "exec/sim_service.hpp"
-#include "exec/single_flight.hpp"
 #include "exec/wire.hpp"
 #include "obs/obs.hpp"
 #include "throttle/runner.hpp"
@@ -120,7 +114,7 @@ TEST(PlanService, DiskTierServesAFreshInstance) {
 }
 
 // ---------------------------------------------------------------------------
-// SimService
+// SimCache over a DiskCache: the two launch-stats tiers Runner composes
 // ---------------------------------------------------------------------------
 
 sim::KernelStats stats_with(std::int64_t cycles) {
@@ -130,38 +124,47 @@ sim::KernelStats stats_with(std::int64_t cycles) {
   return s;
 }
 
-TEST(SimService, PromotesDiskHitsIntoL1) {
+/// The lower-tier fetch Runner hands to SimCache::lookup_run.
+SimCache::FetchFn disk_fetch(DiskCache& disk) {
+  return [&disk](std::uint64_t k) { return disk.get_stats(k); };
+}
+
+/// What Runner does after simulating a launch: SimCache, then disk.
+void publish(SimCache& l1, DiskCache& disk, std::uint64_t key, const sim::KernelStats& s) {
+  l1.insert(key, s);
+  ASSERT_TRUE(disk.put_stats(key, s));
+}
+
+TEST(TieredSimCache, PromotesDiskHitsIntoL1) {
   DiskCache disk({.dir = fresh_dir("promote")});
   ASSERT_TRUE(disk.put_stats(1, stats_with(10)));
 
   SimCache l1;
-  SimService svc(l1, &disk);
   EXPECT_FALSE(l1.contains(1));
-  const auto got = svc.stats_for(1);
+  const auto got = l1.lookup_run({1}, disk_fetch(disk));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->cycles, 10);
+  EXPECT_EQ(got->front().cycles, 10);
   // Promoted: the next lookup is pure L1, no disk read.
   EXPECT_TRUE(l1.contains(1));
   const auto disk_hits = disk.counters().hits;
-  EXPECT_TRUE(svc.stats_for(1).has_value());
+  EXPECT_TRUE(l1.lookup_run({1}, disk_fetch(disk)).has_value());
   EXPECT_EQ(disk.counters().hits, disk_hits);
 }
 
-TEST(SimService, AssembleIsAllOrNothingAcrossTiers) {
+TEST(TieredSimCache, RunIsAllOrNothingAcrossTiers) {
   DiskCache disk({.dir = fresh_dir("assemble")});
   SimCache l1;
-  SimService svc(l1, &disk);
 
-  svc.publish(1, stats_with(10));      // in L1 and on disk
+  publish(l1, disk, 1, stats_with(10));            // in L1 and on disk
   ASSERT_TRUE(disk.put_stats(2, stats_with(20)));  // disk only
 
   // Key 3 is nowhere: the whole run misses (the caller must simulate),
   // charged as one miss per key — the atomic-accounting contract.
-  EXPECT_FALSE(svc.assemble({1, 2, 3}).has_value());
+  EXPECT_FALSE(l1.lookup_run({1, 2, 3}, disk_fetch(disk)).has_value());
   EXPECT_EQ(l1.misses(), 3u);
 
-  svc.publish(3, stats_with(30));
-  const auto run = svc.assemble({1, 2, 3});
+  publish(l1, disk, 3, stats_with(30));
+  const auto run = l1.lookup_run({1, 2, 3}, disk_fetch(disk));
   ASSERT_TRUE(run.has_value());
   ASSERT_EQ(run->size(), 3u);
   EXPECT_EQ((*run)[0].cycles, 10);
@@ -171,85 +174,19 @@ TEST(SimService, AssembleIsAllOrNothingAcrossTiers) {
 
   // publish() wrote through: a fresh in-memory tier still assembles.
   SimCache other_l1;
-  SimService other(other_l1, &disk);
-  EXPECT_TRUE(other.assemble({1, 2, 3}).has_value());
+  EXPECT_TRUE(other_l1.lookup_run({1, 2, 3}, disk_fetch(disk)).has_value());
 }
 
-TEST(SimService, WithoutDiskBehavesAsPureL1) {
+TEST(TieredSimCache, WithoutDiskBehavesAsPureL1) {
+  // Runner with no disk attached passes an empty fetch.
   SimCache l1;
-  SimService svc(l1);
-  EXPECT_FALSE(svc.stats_for(9).has_value());
-  svc.publish(9, stats_with(90));
-  ASSERT_TRUE(svc.stats_for(9).has_value());
-  EXPECT_EQ(svc.disk(), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// SingleFlight
-// ---------------------------------------------------------------------------
-
-TEST(SingleFlight, ConcurrentIdenticalQueriesComputeOnce) {
-  SingleFlight<std::uint64_t, std::string> flights;
-  constexpr int kThreads = 6;
-  std::atomic<int> computations{0};
-
-  std::vector<std::thread> threads;
-  std::vector<std::string> results(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      results[i] = flights.run(7, [&] {
-        // Hold the flight open until every other caller has registered as
-        // a follower (followers_ bumps under the same lock that joins the
-        // gate), making the single computation deterministic, not timing-
-        // dependent.
-        while (flights.followers() < kThreads - 1) std::this_thread::yield();
-        ++computations;
-        return std::string("answer");
-      });
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(computations.load(), 1);
-  EXPECT_EQ(flights.leaders(), 1u);
-  EXPECT_EQ(flights.followers(), static_cast<std::uint64_t>(kThreads - 1));
-  for (const auto& r : results) EXPECT_EQ(r, "answer");
-}
-
-TEST(SingleFlight, DistinctKeysRunIndependentlyAndFlightsAreForgotten) {
-  SingleFlight<std::uint64_t, int> flights;
-  EXPECT_EQ(flights.run(1, [] { return 10; }), 10);
-  EXPECT_EQ(flights.run(2, [] { return 20; }), 20);
-  // A landed flight is forgotten: the next call with the same key
-  // recomputes (caching belongs to the tiered caches).
-  EXPECT_EQ(flights.run(1, [] { return 11; }), 11);
-  EXPECT_EQ(flights.leaders(), 3u);
-  EXPECT_EQ(flights.followers(), 0u);
-}
-
-TEST(SingleFlight, LeaderExceptionPropagatesToAllCallers) {
-  SingleFlight<std::uint64_t, int> flights;
-  std::atomic<int> follower_throws{0};
-
-  std::thread follower;
-  try {
-    flights.run(5, [&]() -> int {
-      follower = std::thread([&] {
-        try {
-          (void)flights.run(5, []() -> int { return 0; });
-        } catch (const std::runtime_error&) {
-          ++follower_throws;
-        }
-      });
-      while (flights.followers() < 1) std::this_thread::yield();
-      throw std::runtime_error("boom");
-    });
-    FAIL() << "expected the leader's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
-  }
-  follower.join();
-  EXPECT_EQ(follower_throws.load(), 1);
+  EXPECT_FALSE(l1.lookup_run({9}).has_value());
+  l1.insert(9, stats_with(90));
+  const auto run = l1.lookup_run({9});
+  ASSERT_TRUE(run.has_value());
+  EXPECT_EQ(run->front().cycles, 90);
+  EXPECT_EQ(l1.misses(), 1u);
+  EXPECT_EQ(l1.hits(), 1u);
 }
 
 }  // namespace
