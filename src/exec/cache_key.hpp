@@ -35,7 +35,7 @@ namespace catt::exec {
 /// entry header). Bump it whenever a change can alter simulated results —
 /// timing-engine behaviour, stats fields, analysis decisions feeding
 /// transformed kernels — so stale cached artifacts are never served.
-inline constexpr std::uint32_t kEngineVersion = 8;
+inline constexpr std::uint32_t kEngineVersion = 9;
 
 /// Streaming builder over hash::Fnv1a, pre-seeded with kEngineVersion.
 /// Field order is significant; chain() folds a previous key in for the

@@ -22,9 +22,9 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint32_t kMagic = 0x45435443;  // "CTCE"
-constexpr std::uint32_t kFormat = 1;
-/// magic + format + engine + kind + key + payload size + payload checksum.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 1 + 8 + 8 + 8;
+constexpr std::uint32_t kFormat = 2;
+/// magic + format + engine + key + payload size + payload checksum.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8;
 
 std::uint64_t payload_checksum(std::string_view payload) {
   hash::Fnv1a h;
@@ -87,50 +87,57 @@ DiskCache::DiskCache(DiskCacheConfig cfg) : cfg_(std::move(cfg)) {
   // because most short-lived clients never hit the max_bytes bound.
 }
 
-std::string DiskCache::entry_path(std::uint64_t key, PayloadKind kind) const {
+std::string DiskCache::entry_path(std::uint64_t key) const {
   const std::string hex = key_hex(key);
-  return cfg_.dir + "/" + hex.substr(0, 2) + "/" + hex + "-" +
-         std::to_string(static_cast<int>(kind)) + ".ce";
+  return cfg_.dir + "/" + hex.substr(0, 2) + "/" + hex + ".ce";
 }
 
-std::optional<std::string> DiskCache::get(std::uint64_t key, PayloadKind kind) {
-  const std::string path = entry_path(key, kind);
+template <typename Accept>
+bool DiskCache::read(std::uint64_t key, Accept&& accept) {
+  const std::string path = entry_path(key);
   std::lock_guard<std::mutex> lock(mu_);
   Mapping map(path);
   if (!map.open()) {
     ++counters_.misses;
     obs::count("exec.diskcache.misses");
-    return std::nullopt;
+    return false;
   }
   const std::string_view bytes = map.bytes();
   // Validate exhaustively; any mismatch drops the entry and misses.
   bool version_skew = false;
-  std::optional<std::string> payload;
+  bool valid = false;
   if (bytes.size() >= kHeaderBytes) {
     wire::Reader r(bytes);
     const std::uint32_t magic = r.u32();
     const std::uint32_t format = r.u32();
     const std::uint32_t engine = r.u32();
-    const std::uint8_t k = r.u8();
     const std::uint64_t entry_key = r.u64();
     const std::uint64_t size = r.u64();
     const std::uint64_t sum = r.u64();
     version_skew = magic == kMagic && format == kFormat && engine != cfg_.engine_version;
     if (magic == kMagic && format == kFormat && engine == cfg_.engine_version &&
-        k == static_cast<std::uint8_t>(kind) && entry_key == key && size == r.remaining()) {
-      std::string body(bytes.substr(kHeaderBytes));
-      if (payload_checksum(body) == sum) payload = std::move(body);
+        entry_key == key && size == r.remaining()) {
+      const std::string_view body = bytes.substr(kHeaderBytes);
+      if (payload_checksum(body) == sum) {
+        try {
+          accept(body);
+          valid = true;
+        } catch (const SimError&) {
+          // A checksummed payload that still fails to decode: as corrupt
+          // as a bad checksum, and just as unrecoverable in place.
+        }
+      }
     }
   }
-  if (!payload.has_value()) {
-    // Truncated, corrupt, or written by a different engine version: drop it
-    // so the slot is rebuilt by the next publish.
+  if (!valid) {
+    // Truncated, corrupt, undecodable, or written by a different engine
+    // version: drop it so the slot is rebuilt by the next publish.
     drop_entry_locked(path);
     ++counters_.dropped;
     ++counters_.misses;
     obs::count(version_skew ? "exec.diskcache.version_skew" : "exec.diskcache.corrupt");
     obs::count("exec.diskcache.misses");
-    return std::nullopt;
+    return false;
   }
   ++counters_.hits;
   obs::count("exec.diskcache.hits");
@@ -150,11 +157,23 @@ std::optional<std::string> DiskCache::get(std::uint64_t key, PayloadKind kind) {
       }
     }
   }
+  return true;
+}
+
+std::optional<std::string> DiskCache::get(std::uint64_t key) {
+  std::optional<std::string> payload;
+  read(key, [&](std::string_view body) { payload.emplace(body); });
   return payload;
 }
 
-bool DiskCache::put(std::uint64_t key, PayloadKind kind, std::string_view payload) {
-  const std::string path = entry_path(key, kind);
+std::optional<sim::KernelStats> DiskCache::get_stats(std::uint64_t key) {
+  std::optional<sim::KernelStats> stats;
+  read(key, [&](std::string_view body) { stats = wire::decode_kernel_stats(body); });
+  return stats;
+}
+
+bool DiskCache::put(std::uint64_t key, std::string_view payload) {
+  const std::string path = entry_path(key);
   std::lock_guard<std::mutex> lock(mu_);
   std::error_code ec;
   if (fs::exists(path, ec)) {
@@ -170,7 +189,6 @@ bool DiskCache::put(std::uint64_t key, PayloadKind kind, std::string_view payloa
   w.u32(kMagic);
   w.u32(kFormat);
   w.u32(cfg_.engine_version);
-  w.u8(static_cast<std::uint8_t>(kind));
   w.u64(key);
   w.u64(payload.size());
   w.u64(payload_checksum(payload));
@@ -209,7 +227,6 @@ bool DiskCache::put(std::uint64_t key, PayloadKind kind, std::string_view payloa
   };
   write_all(header);
   write_all(payload);
-  if (ok && cfg_.fsync && ::fsync(fd) != 0) ok = false;
   if (::close(fd) != 0) ok = false;
   if (ok && std::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
   if (!ok) {
@@ -224,32 +241,8 @@ bool DiskCache::put(std::uint64_t key, PayloadKind kind, std::string_view payloa
   return true;
 }
 
-std::optional<sim::KernelStats> DiskCache::get_stats(std::uint64_t key) {
-  const auto payload = get(key, PayloadKind::kKernelStats);
-  if (!payload.has_value()) return std::nullopt;
-  try {
-    return wire::decode_kernel_stats(*payload);
-  } catch (const SimError&) {
-    return std::nullopt;  // checksummed payload that still fails to decode
-  }
-}
-
 bool DiskCache::put_stats(std::uint64_t key, const sim::KernelStats& s) {
-  return put(key, PayloadKind::kKernelStats, wire::encode_kernel_stats(s));
-}
-
-std::optional<analysis::ThrottlePlan> DiskCache::get_plan(std::uint64_t key) {
-  const auto payload = get(key, PayloadKind::kThrottlePlan);
-  if (!payload.has_value()) return std::nullopt;
-  try {
-    return wire::decode_throttle_plan(*payload);
-  } catch (const SimError&) {
-    return std::nullopt;
-  }
-}
-
-bool DiskCache::put_plan(std::uint64_t key, const analysis::ThrottlePlan& p) {
-  return put(key, PayloadKind::kThrottlePlan, wire::encode_throttle_plan(p));
+  return put(key, wire::encode_kernel_stats(s));
 }
 
 DiskCache::Counters DiskCache::counters() const {
@@ -295,19 +288,17 @@ void DiskCache::ensure_index_locked() {
 
 void DiskCache::index_add_locked(const std::string& path, std::uint64_t size) {
   if (!indexed_) return;
-  std::error_code ec;
-  IndexEntry e;
-  e.size = size != 0 ? size : fs::file_size(path, ec);
-  if (ec) return;
-  e.mtime = fs::last_write_time(path, ec);
-  if (ec) e.mtime = std::chrono::file_clock::now();
-  if (size != 0) {
-    // Fresh publish: the rename just happened, so "now" is exact and one
-    // stat cheaper.
-    e.mtime = std::chrono::file_clock::now();
+  // A fresh publish: the rename just happened, so "now" is exact.
+  IndexEntry e{size, std::chrono::file_clock::now()};
+  if (size == 0) {
+    // Discovered rather than written: stat it, and count it now.
+    std::error_code ec;
+    e.size = fs::file_size(path, ec);
+    if (ec) return;
+    if (const auto mtime = fs::last_write_time(path, ec); !ec) e.mtime = mtime;
+    size_bytes_ += e.size;
   }
   index_[path] = e;
-  if (size == 0) size_bytes_ += e.size;  // discovered entry: not yet counted
 }
 
 void DiskCache::evict_to_fit_locked(std::uint64_t incoming_bytes) {

@@ -1,12 +1,13 @@
-// Disk-backed, content-addressed cache of execution-engine artifacts
-// (KernelStats payloads for the Runner's launch stats, ThrottlePlan
-// payloads for the PlanService). This is the persistent tier behind the
-// in-process SimCache: many bench/sweep processes point at one directory
-// and share every simulation ever run for a given engine version.
+// Disk-backed, content-addressed cache of the Runner's per-launch
+// KernelStats. This is the persistent tier behind the in-process SimCache:
+// many bench/sweep processes point at one directory and share every
+// simulation ever run for a given engine version. It holds only results
+// that can be recomputed, so it never needs fsync: a torn entry fails its
+// checksum and is a miss.
 //
-// Layout: <dir>/<first-2-hex>/<16-hex-key>-<kind>.ce, one entry per file.
-// Each file is a fixed header (magic, format version, engine-version salt,
-// key, payload kind/size/checksum) followed by the wire-encoded payload.
+// Layout: <dir>/<first-2-hex>/<16-hex-key>.ce, one entry per file. Each
+// file is a fixed header (magic, format version, engine-version salt, key,
+// payload size/checksum) followed by the wire-encoded KernelStats.
 //
 // Correctness under concurrent writers: entries are written to a unique
 // temp file in the same directory and published with rename(2), which is
@@ -17,24 +18,19 @@
 // equal file.
 //
 // Reads mmap the entry read-only, validate the header + an FNV-1a payload
-// checksum, and copy the payload out. Any mismatch — truncation, garbage,
-// a foreign engine version, a key collision — counts as a miss, drops the
-// file, and lets the caller recompute: corruption can cost time, never
-// wrong results.
+// checksum, and decode the payload under the lock. Any mismatch —
+// truncation, garbage, a foreign engine version, a key collision, a
+// payload that does not decode — counts as a miss, drops the file, and
+// lets the caller recompute: corruption can cost time, never wrong results.
 //
-// Eviction (evict=lru): the instance keeps an in-process size/mtime index
-// of every entry, built by scanning the directory once on first use (first
-// bounded put or size_bytes() query — construction is free even over a
-// huge directory) and updated on publish/hit/drop from then on; insert
-// overflow sorts the index, never the filesystem, and drops the oldest
-// entries by mtime until the cache fits under max_bytes again. Hits
-// re-touch their entry's mtime (on disk and in the index) so hot entries
-// survive. Entries published by *other* processes after the scan are
-// invisible to this instance's eviction accounting — the tradeoff for not
-// rescanning on every overflow; the "exec.diskcache.rescans" counter
-// (Counters::rescans) proves the scan happens once. evict=none never
-// deletes (max_bytes still bounds *this process's* inserts by refusing
-// them).
+// Eviction (evict=lru): a size/mtime index of every entry, built by one
+// directory scan on first use (the first bounded put or size_bytes(); the
+// "exec.diskcache.rescans" counter proves it happens once) and updated on
+// publish/hit/drop. Overflow drops the oldest entries by mtime until the
+// cache fits under max_bytes; hits re-touch their mtime so hot entries
+// survive. Entries other processes publish after the scan are invisible
+// to this instance's accounting. evict=none never deletes: max_bytes
+// bounds this process's inserts by refusing them.
 #pragma once
 
 #include <cstdint>
@@ -44,18 +40,10 @@
 #include <string>
 #include <unordered_map>
 
-#include "catt/analysis.hpp"
 #include "exec/cache_key.hpp"
 #include "gpusim/gpu.hpp"
 
 namespace catt::exec {
-
-/// What an entry's payload decodes to; part of the on-disk name and header
-/// so the two services can never deserialize each other's artifacts.
-enum class PayloadKind : std::uint8_t {
-  kKernelStats = 1,
-  kThrottlePlan = 2,
-};
 
 struct DiskCacheConfig {
   std::string dir;
@@ -66,27 +54,24 @@ struct DiskCacheConfig {
   /// Entries stamped with a different version are invalid (self-invalidation
   /// on timing-engine changes). Overridable for tests only.
   std::uint32_t engine_version = kEngineVersion;
-  /// fsync entries before publish (crash durability; off for benches).
-  bool fsync = false;
 };
 
 class DiskCache {
  public:
-  /// Creates the directory if needed and sizes the cache by scanning it.
+  /// Creates the directory if needed (the index is built on first use).
   /// Throws catt::SimError when the directory cannot be created.
   explicit DiskCache(DiskCacheConfig cfg);
 
-  // Raw payload interface (the typed helpers below wrap it).
-  std::optional<std::string> get(std::uint64_t key, PayloadKind kind);
+  // Raw payload interface: the validated bytes, not decoded.
+  std::optional<std::string> get(std::uint64_t key);
   /// Publishes; returns false when the entry could not be written (IO
   /// error, or evict=none and the cache is full). Never throws.
-  bool put(std::uint64_t key, PayloadKind kind, std::string_view payload);
+  bool put(std::uint64_t key, std::string_view payload);
 
-  // Typed helpers over the wire codecs.
+  /// The stats stored under `key`, or nullopt on a miss. An entry that
+  /// fails validation or decoding is dropped and counted as a miss.
   std::optional<sim::KernelStats> get_stats(std::uint64_t key);
   bool put_stats(std::uint64_t key, const sim::KernelStats& s);
-  std::optional<analysis::ThrottlePlan> get_plan(std::uint64_t key);
-  bool put_plan(std::uint64_t key, const analysis::ThrottlePlan& p);
 
   struct Counters {
     std::uint64_t hits = 0;
@@ -94,7 +79,7 @@ class DiskCache {
     std::uint64_t writes = 0;      // entries published by this instance
     std::uint64_t dup_writes = 0;  // puts that found the entry already on disk
     std::uint64_t evictions = 0;   // entries removed to fit max_bytes
-    std::uint64_t dropped = 0;     // corrupt/truncated/version-skewed entries removed
+    std::uint64_t dropped = 0;     // corrupt/undecodable/version-skewed entries removed
     std::uint64_t rescans = 0;     // full directory scans (at most 1: first use)
   };
   Counters counters() const;
@@ -106,7 +91,13 @@ class DiskCache {
   const DiskCacheConfig& config() const { return cfg_; }
 
  private:
-  std::string entry_path(std::uint64_t key, PayloadKind kind) const;
+  std::string entry_path(std::uint64_t key) const;
+  /// Validates the entry for `key` and hands its payload to `accept` under
+  /// the lock; a header or checksum mismatch, or a SimError from `accept`
+  /// (an undecodable payload), drops the entry and counts a miss. Returns
+  /// whether the entry was accepted (a hit).
+  template <typename Accept>
+  bool read(std::uint64_t key, Accept&& accept);
   void drop_entry_locked(const std::string& path);
   void evict_to_fit_locked(std::uint64_t incoming_bytes);
   /// Builds the size/mtime index by scanning the directory; a no-op after

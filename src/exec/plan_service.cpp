@@ -1,5 +1,6 @@
 #include "exec/plan_service.hpp"
 
+#include "exec/cache_key.hpp"
 #include "obs/obs.hpp"
 
 namespace catt::exec {
@@ -23,28 +24,6 @@ std::uint64_t PlanService::plan_key(const ir::Kernel& kernel, const arch::Launch
       .value();
 }
 
-analysis::ThrottlePlan PlanService::plan_for(const ir::Kernel& kernel,
-                                             const arch::LaunchConfig& launch,
-                                             const expr::ParamEnv& params,
-                                             const analysis::AnalysisOptions& opts) {
-  const std::uint64_t key = plan_key(kernel, launch, params, opts);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      obs::count("exec.planservice.mem_hits");
-      return it->second.plan;
-    }
-  }
-  if (disk_ != nullptr) {
-    if (auto plan = disk_->get_plan(key); plan.has_value()) {
-      obs::count("exec.planservice.disk_hits");
-      return *plan;
-    }
-  }
-  return analysis_for(kernel, launch, params, opts).plan;
-}
-
 analysis::KernelAnalysis PlanService::analysis_for(const ir::Kernel& kernel,
                                                    const arch::LaunchConfig& launch,
                                                    const expr::ParamEnv& params,
@@ -58,7 +37,6 @@ analysis::KernelAnalysis PlanService::analysis_for(const ir::Kernel& kernel,
   }
   obs::count("exec.planservice.computes");
   analysis::KernelAnalysis ka = analysis::analyze(arch_, kernel, launch, params, opts);
-  if (disk_ != nullptr) disk_->put_plan(key, ka.plan);
   return memo_.emplace(key, std::move(ka)).first->second;
 }
 

@@ -1,16 +1,15 @@
-// PlanService: the plan_for half of the plan/sim API split. It answers
-// "what throttle plan does CATT pick for this kernel launch" from static
-// analysis alone — occupancy and footprint estimation — and by contract
-// never invokes the timing engine (service_test pins this with the
-// sim.gpu.launches obs counter).
+// PlanService: the CATT analysis memo. It answers "what does CATT decide
+// for this kernel launch" from static analysis alone — occupancy and
+// footprint estimation — and by contract never invokes the timing engine
+// (service_test pins this with the sim.gpu.launches obs counter).
 //
-// Results are memoized in two tiers: full KernelAnalysis objects in
-// memory (they carry per-loop/per-access detail that is not serialized),
-// and the ThrottlePlan artifact — all a transform needs — in the shared
-// DiskCache under a CacheKey that covers the architecture, the kernel IR,
-// the launch geometry, the parameter bindings, and every AnalysisOptions
-// knob, salted with "plan" so plan keys can never collide with launch
-// stats keys.
+// Results are memoized in memory only, as full KernelAnalysis objects
+// (per-loop decisions, occupancy, footprints), under a CacheKey that
+// covers the architecture, the kernel IR, the launch geometry, the
+// parameter bindings, and every AnalysisOptions knob, salted with "plan"
+// so plan keys can never collide with launch stats keys. There is no disk
+// half: the analysis is cheap next to one simulation, and the disk cache
+// stores only the launch stats a rerun actually reads.
 #pragma once
 
 #include <cstdint>
@@ -20,41 +19,27 @@
 #include "arch/gpu_arch.hpp"
 #include "arch/launch.hpp"
 #include "catt/analysis.hpp"
-#include "exec/disk_cache.hpp"
 
 namespace catt::exec {
 
 class PlanService {
  public:
-  explicit PlanService(arch::GpuArch gpu_arch, DiskCache* disk = nullptr)
-      : arch_(std::move(gpu_arch)), disk_(disk) {}
+  explicit PlanService(arch::GpuArch gpu_arch) : arch_(std::move(gpu_arch)) {}
 
-  /// Content-addressed identity of one plan query.
+  /// Content-addressed identity of one analysis query.
   std::uint64_t plan_key(const ir::Kernel& kernel, const arch::LaunchConfig& launch,
                          const expr::ParamEnv& params,
                          const analysis::AnalysisOptions& opts = {}) const;
 
-  /// The throttle plan for one kernel launch: memory, then disk, then
-  /// compute-and-publish. Never runs a simulation.
-  analysis::ThrottlePlan plan_for(const ir::Kernel& kernel, const arch::LaunchConfig& launch,
-                                  const expr::ParamEnv& params,
-                                  const analysis::AnalysisOptions& opts = {});
-
-  /// The full analysis (per-loop decisions, occupancy, footprints) for
-  /// callers that need more than the plan. Memoized in memory only — the
-  /// rich object is not serialized; the disk tier holds just ThrottlePlan.
+  /// The full analysis (per-loop decisions, occupancy, footprints, and the
+  /// ThrottlePlan a transform applies), memoized. Never runs a simulation.
   analysis::KernelAnalysis analysis_for(const ir::Kernel& kernel,
                                         const arch::LaunchConfig& launch,
                                         const expr::ParamEnv& params,
                                         const analysis::AnalysisOptions& opts = {});
 
-  const arch::GpuArch& gpu_arch() const { return arch_; }
-  DiskCache* disk() const { return disk_; }
-  void set_disk(DiskCache* disk) { disk_ = disk; }
-
  private:
   arch::GpuArch arch_;
-  DiskCache* disk_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, analysis::KernelAnalysis> memo_;
 };

@@ -207,29 +207,6 @@ sim::KernelStats decode_kernel_stats(Reader& r) {
   return s;
 }
 
-void encode(Writer& w, const analysis::ThrottlePlan& p) {
-  w.u64(p.warp_throttles.size());
-  for (const auto& t : p.warp_throttles) {
-    w.i32(t.loop_id);
-    w.i32(t.n_divisor);
-  }
-  w.i32(p.tb_limit);
-}
-
-analysis::ThrottlePlan decode_throttle_plan(Reader& r) {
-  analysis::ThrottlePlan p;
-  const std::uint64_t n = r.count(8, "warp_throttles");  // 2 x i32 each
-  p.warp_throttles.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    analysis::ThrottlePlan::LoopThrottle t;
-    t.loop_id = r.i32();
-    t.n_divisor = r.i32();
-    p.warp_throttles.push_back(t);
-  }
-  p.tb_limit = r.i32();
-  return p;
-}
-
 std::string encode_kernel_stats(const sim::KernelStats& s) {
   Writer w;
   encode(w, s);
@@ -241,19 +218,6 @@ sim::KernelStats decode_kernel_stats(std::string_view buf) {
   sim::KernelStats s = decode_kernel_stats(r);
   r.expect_done("KernelStats");
   return s;
-}
-
-std::string encode_throttle_plan(const analysis::ThrottlePlan& p) {
-  Writer w;
-  encode(w, p);
-  return w.take();
-}
-
-analysis::ThrottlePlan decode_throttle_plan(std::string_view buf) {
-  Reader r(buf);
-  analysis::ThrottlePlan p = decode_throttle_plan(r);
-  r.expect_done("ThrottlePlan");
-  return p;
 }
 
 }  // namespace catt::exec::wire

@@ -1,4 +1,5 @@
-// Binary serialization of the disk cache's payloads.
+// Binary serialization of the disk cache's one payload type,
+// sim::KernelStats (a launch's stats, cached by throttle::Runner).
 //
 // Encoding rules: all integers little-endian and fixed-width, strings and
 // vectors length-prefixed (u64 count), doubles bit_cast to u64. Every
@@ -8,17 +9,12 @@
 // malformed input (vector counts included: a count the rest of the buffer
 // cannot hold is rejected before anything is allocated); a truncated,
 // bit-flipped or forged disk entry is reported, never silently misread.
-//
-// The codecs here cover the two payload types the disk cache stores:
-// sim::KernelStats (a launch's stats, cached by throttle::Runner) and
-// analysis::ThrottlePlan (the PlanService artifact).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "catt/analysis.hpp"
 #include "gpusim/gpu.hpp"
 
 namespace catt::exec::wire {
@@ -82,13 +78,8 @@ occupancy::Occupancy decode_occupancy(Reader& r);
 void encode(Writer& w, const sim::KernelStats& s);
 sim::KernelStats decode_kernel_stats(Reader& r);
 
-void encode(Writer& w, const analysis::ThrottlePlan& p);
-analysis::ThrottlePlan decode_throttle_plan(Reader& r);
-
 /// Convenience: one payload per buffer.
 std::string encode_kernel_stats(const sim::KernelStats& s);
 sim::KernelStats decode_kernel_stats(std::string_view buf);
-std::string encode_throttle_plan(const analysis::ThrottlePlan& p);
-analysis::ThrottlePlan decode_throttle_plan(std::string_view buf);
 
 }  // namespace catt::exec::wire

@@ -61,11 +61,15 @@ void count(const char* name, std::uint64_t delta, const SimObs* obs) {
 void Accum::start() { t0_ = std::chrono::steady_clock::now(); }
 
 void Accum::stop() {
-  const auto now = std::chrono::steady_clock::now();
-  total_ms_ += std::chrono::duration<double, std::milli>(now - t0_).count();
+  const auto elapsed = std::chrono::steady_clock::now() - t0_;
+  total_ms_ += std::chrono::duration<double, std::milli>(elapsed).count();
   if (registry_ != nullptr) {
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(now - t0_).count();
-    registry_->add(us_counter_, static_cast<std::uint64_t>(us < 0 ? 0 : us));
+    // Whole microseconds go to the registry; the sub-microsecond rest
+    // carries into the next stop(), so many short intervals still add up.
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+    pending_ns_ += static_cast<std::uint64_t>(ns < 0 ? 0 : ns);
+    registry_->add(us_counter_, pending_ns_ / 1000);
+    pending_ns_ %= 1000;
   }
 }
 

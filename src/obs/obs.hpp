@@ -73,7 +73,8 @@ void count(const char* name, std::uint64_t delta = 1, const SimObs* obs = nullpt
 /// Wall-clock accumulator, successor of prof::Accum: same ms() contract
 /// (so [profile] lines stay byte-compatible), plus the accumulated time is
 /// mirrored into a registry counter (microseconds) at stop() when a metric
-/// id is bound.
+/// id is bound. The counter reads floor(total ns / 1000): sub-microsecond
+/// remainders carry across stop()s instead of being truncated away.
 class Accum {
  public:
   Accum() = default;
@@ -87,6 +88,7 @@ class Accum {
  private:
   std::chrono::steady_clock::time_point t0_{};
   double total_ms_ = 0.0;
+  std::uint64_t pending_ns_ = 0;  // elapsed time not yet mirrored (< 1 us)
   Registry* registry_ = nullptr;
   MetricId us_counter_ = 0;
 };

@@ -123,6 +123,39 @@ RunPlan make_plan(const arch::GpuArch& arch, const sim::SimOptions& sim_options,
   return plan;
 }
 
+/// Folds one repeat launch `s` of a schedule entry into the entry's stats
+/// `agg`; the first launch is taken whole. Counters sum, divergence
+/// merges, the scheduler's levels take the max and its decisions append in
+/// launch order; occupancy and the request trace stay the first launch's
+/// (Figure 2's convention).
+void accumulate(sim::KernelStats& agg, sim::KernelStats&& s, bool first) {
+  if (first) {
+    agg = std::move(s);
+    return;
+  }
+  agg.cycles += s.cycles;
+  agg.l1 += s.l1;
+  agg.l2 += s.l2;
+  agg.dram_lines += s.dram_lines;
+  agg.warp_insts += s.warp_insts;
+  agg.mem_insts += s.mem_insts;
+  agg.mem_requests += s.mem_requests;
+  agg.lane_cycles += s.lane_cycles;
+  agg.lane_mem_insts += s.lane_mem_insts;
+  agg.div.merge(s.div);
+  agg.sm_steps += s.sm_steps;
+  agg.warps_scanned += s.warps_scanned;
+  agg.queue_pops += s.queue_pops;
+  agg.sched_vetoes += s.sched_vetoes;
+  agg.sched_victim_tag_hits += s.sched_victim_tag_hits;
+  agg.sched_updates += s.sched_updates;
+  agg.sched_throttle_level = std::max(agg.sched_throttle_level, s.sched_throttle_level);
+  agg.sched_paused_tbs = std::max(agg.sched_paused_tbs, s.sched_paused_tbs);
+  agg.sched_max_paused_tbs = std::max(agg.sched_max_paused_tbs, s.sched_max_paused_tbs);
+  agg.sched_decisions.insert(agg.sched_decisions.end(), s.sched_decisions.begin(),
+                             s.sched_decisions.end());
+}
+
 /// Simulates one schedule entry (all repeats) and aggregates its stats.
 sim::KernelStats simulate_entry(sim::Gpu& gpu, const PlanEntry& pe,
                                 const sim::SimOptions& opts) {
@@ -133,18 +166,7 @@ sim::KernelStats simulate_entry(sim::Gpu& gpu, const PlanEntry& pe,
     spec.kernel = &pe.kernel;
     spec.launch = entry.launch;
     spec.params = entry.params;
-    sim::KernelStats s = gpu.run(spec, opts);
-    if (r == 0) {
-      agg = std::move(s);
-    } else {
-      agg.cycles += s.cycles;
-      agg.l1 += s.l1;
-      agg.l2 += s.l2;
-      agg.dram_lines += s.dram_lines;
-      agg.warp_insts += s.warp_insts;
-      agg.mem_insts += s.mem_insts;
-      agg.mem_requests += s.mem_requests;
-    }
+    accumulate(agg, gpu.run(spec, opts), r == 0);
   }
   agg.kernel_name = entry.kernel;
   return agg;
@@ -477,17 +499,7 @@ AppResult Runner::run_dyncta_impl(const wl::Workload& w, const Dyncta& p) {
       st = {current, s.cycles};
 
       choice.loops.push_back({r, s.occ.warps_per_tb, s.occ.tbs_per_sm, false});
-      if (r == 0) {
-        agg = std::move(s);
-      } else {
-        agg.cycles += s.cycles;
-        agg.l1 += s.l1;
-        agg.l2 += s.l2;
-        agg.dram_lines += s.dram_lines;
-        agg.warp_insts += s.warp_insts;
-        agg.mem_insts += s.mem_insts;
-        agg.mem_requests += s.mem_requests;
-      }
+      accumulate(agg, std::move(s), r == 0);
     }
     agg.kernel_name = entry.kernel;
     res.total_cycles += agg.cycles;

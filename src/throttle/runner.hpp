@@ -19,9 +19,10 @@
 // Runner::run(workload, policy) is the single entry point. Execution goes
 // through the exec:: engine: candidate simulations fan out across a thread
 // pool and every per-launch result is memoized in a content-addressed
-// SimCache (backed by an optional on-disk DiskCache), so repeated configurations (clamped duplicate factors, the
-// baseline inside a sweep, CATT on untransformed workloads) are simulated
-// exactly once per Runner. Results are bit-identical to serial execution.
+// SimCache (backed by an optional on-disk DiskCache), so repeated
+// configurations (clamped duplicate factors, the baseline inside a sweep,
+// CATT on untransformed workloads) are simulated exactly once per Runner.
+// Results are bit-identical to serial execution.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@
 
 #include "arch/gpu_arch.hpp"
 #include "catt/analysis.hpp"
+#include "exec/disk_cache.hpp"
 #include "exec/plan_service.hpp"
 #include "exec/pool.hpp"
 #include "exec/sim_cache.hpp"
@@ -183,15 +185,13 @@ class Runner {
   const exec::SimCache& cache() const { return cache_; }
   exec::SimCache& cache() { return cache_; }
 
-  /// Attaches the shared persistent tier behind both the SimCache and the
-  /// PlanService (null detaches). The caller keeps ownership; the
-  /// DiskCache must outlive the Runner.
-  void set_disk_cache(exec::DiskCache* disk) {
-    disk_ = disk;
-    plans_.set_disk(disk);
-  }
+  /// Attaches the shared persistent tier behind the SimCache (null
+  /// detaches): launch stats are read from and published to it. CATT
+  /// analyses stay in the in-memory PlanService. The caller keeps
+  /// ownership; the DiskCache must outlive the Runner.
+  void set_disk_cache(exec::DiskCache* disk) { disk_ = disk; }
 
-  /// plan_for service: CATT analysis/plans, memoized, never simulating.
+  /// The CATT analysis memo (in memory, never simulating).
   exec::PlanService& plan_service() const { return plans_; }
 
   /// Forwarded to every simulation (e.g. request-trace collection).

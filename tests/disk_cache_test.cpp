@@ -1,4 +1,4 @@
-// Disk-cache tier tests: typed payload round-trips, atomic publish under
+// Disk-cache tier tests: KernelStats round-trips, atomic publish under
 // concurrent writers (the TSan target: two pools racing on the same keys),
 // corrupt/truncated/forged-entry recovery, engine-version-salt
 // invalidation, and LRU eviction with touch-on-hit.
@@ -53,7 +53,7 @@ fs::path only_entry(const std::string& dir) {
   return entries.empty() ? fs::path{} : entries.front();
 }
 
-TEST(DiskCache, TypedRoundTripAndKindSeparation) {
+TEST(DiskCache, TypedRoundTrip) {
   DiskCache cache({.dir = fresh_dir("roundtrip")});
   EXPECT_FALSE(cache.get_stats(1).has_value());
 
@@ -62,24 +62,13 @@ TEST(DiskCache, TypedRoundTripAndKindSeparation) {
   const auto got = cache.get_stats(1);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(wire::encode_kernel_stats(*got), wire::encode_kernel_stats(s));
-
-  analysis::ThrottlePlan p;
-  p.warp_throttles.push_back({0, 4});
-  p.tb_limit = 2;
-  ASSERT_TRUE(cache.put_plan(2, p));
-  const auto gp = cache.get_plan(2);
-  ASSERT_TRUE(gp.has_value());
-  EXPECT_EQ(wire::encode_throttle_plan(*gp), wire::encode_throttle_plan(p));
-
-  // The payload kind is part of the entry identity: a plan key can never
-  // resolve as stats and vice versa.
-  EXPECT_FALSE(cache.get_stats(2).has_value());
-  EXPECT_FALSE(cache.get_plan(1).has_value());
+  // The raw interface serves the same validated bytes, undecoded.
+  EXPECT_EQ(cache.get(1), wire::encode_kernel_stats(s));
 
   const auto c = cache.counters();
-  EXPECT_EQ(c.writes, 2u);
+  EXPECT_EQ(c.writes, 1u);
   EXPECT_EQ(c.hits, 2u);
-  EXPECT_EQ(c.misses, 3u);
+  EXPECT_EQ(c.misses, 1u);
   EXPECT_GT(cache.size_bytes(), 0u);
 }
 
@@ -104,7 +93,7 @@ TEST(DiskCache, CorruptEntryIsDroppedAndRecomputable) {
   ASSERT_TRUE(cache.put_stats(5, stats_with(99)));
   const fs::path path = only_entry(dir);
 
-  // Flip one payload byte (past the 37-byte header): the checksum must
+  // Flip one payload byte (past the 36-byte header): the checksum must
   // catch it, the entry must be unlinked, and the key must re-publish.
   {
     std::ifstream in(path, std::ios::binary);
@@ -170,35 +159,27 @@ std::string with_u64_at(std::string bytes, std::size_t at, std::uint64_t v) {
 TEST(DiskCache, ForgedVectorCountsAreMissesNotCrashes) {
   // A count field the payload cannot hold must fail with a located
   // SimError before anything is reserved: the checksum is no defence
-  // (put() computes a valid one over any bytes), and get_stats/get_plan
-  // only turn SimError into a miss.
+  // (put() computes a valid one over any bytes), and get_stats only turns
+  // SimError into a miss.
   const std::string stats = wire::encode_kernel_stats(stats_with(3));
-  const std::string plan = wire::encode_throttle_plan(analysis::ThrottlePlan{});
   struct Field {
     const char* name;
-    PayloadKind kind;
-    std::string bytes;
     std::size_t at;  // offset of the u64 count
   };
   // stats_with() has no trace points or decisions, so the two counts are
-  // the last 16 bytes; a default plan's count leads, before tb_limit.
+  // the last 16 bytes.
   const Field fields[] = {
-      {"request_trace", PayloadKind::kKernelStats, stats, stats.size() - 16},
-      {"sched_decisions", PayloadKind::kKernelStats, stats, stats.size() - 8},
-      {"warp_throttles", PayloadKind::kThrottlePlan, plan, 0},
+      {"request_trace", stats.size() - 16},
+      {"sched_decisions", stats.size() - 8},
   };
   DiskCache cache({.dir = fresh_dir("forged")});
   std::uint64_t key = 100;
   for (const Field& f : fields) {
     for (const std::uint64_t count : {~std::uint64_t{0}, std::uint64_t{1} << 40}) {
       SCOPED_TRACE(std::string(f.name) + " count " + std::to_string(count));
-      const std::string forged = with_u64_at(f.bytes, f.at, count);
+      const std::string forged = with_u64_at(stats, f.at, count);
       try {
-        if (f.kind == PayloadKind::kKernelStats) {
-          (void)wire::decode_kernel_stats(forged);
-        } else {
-          (void)wire::decode_throttle_plan(forged);
-        }
+        (void)wire::decode_kernel_stats(forged);
         ADD_FAILURE() << "forged count decoded";
       } catch (const SimError& e) {
         EXPECT_NE(std::string(e.what()).find(f.name), std::string::npos) << e.what();
@@ -206,12 +187,8 @@ TEST(DiskCache, ForgedVectorCountsAreMissesNotCrashes) {
         ADD_FAILURE() << "not a SimError: " << e.what();
       }
       ++key;
-      ASSERT_TRUE(cache.put(key, f.kind, forged));
-      if (f.kind == PayloadKind::kKernelStats) {
-        EXPECT_FALSE(cache.get_stats(key).has_value());
-      } else {
-        EXPECT_FALSE(cache.get_plan(key).has_value());
-      }
+      ASSERT_TRUE(cache.put(key, forged));
+      EXPECT_FALSE(cache.get_stats(key).has_value());
     }
   }
 
@@ -223,9 +200,33 @@ TEST(DiskCache, ForgedVectorCountsAreMissesNotCrashes) {
   full.sched_decisions[1].cycle = 9;
   EXPECT_EQ(wire::encode_kernel_stats(wire::decode_kernel_stats(wire::encode_kernel_stats(full))),
             wire::encode_kernel_stats(full));
-  analysis::ThrottlePlan p;
-  p.warp_throttles = {{0, 2}, {3, 4}};
-  EXPECT_EQ(wire::decode_throttle_plan(wire::encode_throttle_plan(p)).warp_throttles.size(), 2u);
+}
+
+TEST(DiskCache, UndecodableEntryIsDroppedNotServedForever) {
+  // A payload whose checksum is valid but which does not decode is as
+  // corrupt as a bad checksum: a miss plus a drop, with the file unlinked,
+  // so the recomputed stats publish as a fresh write and the next run hits.
+  const std::string dir = fresh_dir("undecodable");
+  DiskCache cache({.dir = dir});
+  const std::string stats = wire::encode_kernel_stats(stats_with(5));
+  ASSERT_TRUE(cache.put(9, with_u64_at(stats, stats.size() - 16, std::uint64_t{1} << 40)));
+  const fs::path path = only_entry(dir);
+
+  EXPECT_FALSE(cache.get_stats(9).has_value());
+  DiskCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.dropped, 1u);
+  EXPECT_FALSE(fs::exists(path));
+
+  ASSERT_TRUE(cache.put_stats(9, stats_with(5)));
+  c = cache.counters();
+  EXPECT_EQ(c.writes, 2u);  // the planted entry, then the recomputed one
+  EXPECT_EQ(c.dup_writes, 0u);
+  const auto got = cache.get_stats(9);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->cycles, 5);
+  EXPECT_EQ(cache.counters().hits, 1u);
 }
 
 TEST(DiskCache, EvictNoneRefusesWhenFull) {

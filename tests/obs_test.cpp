@@ -410,5 +410,21 @@ TEST(SimObs, AccumMirrorsIntoRegistry) {
   EXPECT_GE(snap.counter_or("t.us", 0), 0u);
 }
 
+TEST(SimObs, AccumCarriesSubMicrosecondRemainders) {
+  // Intervals far shorter than a microsecond, as when a clock wraps one
+  // cheap block at a time: the registry must read the accumulated total
+  // (floor of the nanoseconds), not a sum of per-stop truncations.
+  Registry reg;
+  Accum a(&reg, reg.counter("t.us"));
+  for (int i = 0; i < 10000; ++i) {
+    a.start();
+    a.stop();
+  }
+  const double us = a.ms() * 1000.0;
+  const auto mirrored = static_cast<double>(reg.scrape().counter_or("t.us", 0));
+  EXPECT_LE(mirrored, us + 1.0);
+  EXPECT_GE(mirrored, us - 1.0);
+}
+
 }  // namespace
 }  // namespace catt::obs

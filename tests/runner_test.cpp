@@ -7,6 +7,7 @@
 
 #include "harness/harness.hpp"
 #include "throttle/runner.hpp"
+#include "transform/transform.hpp"
 #include "workloads/workload.hpp"
 
 namespace catt::throttle {
@@ -31,6 +32,95 @@ TEST(Runner, BaselineRecordsOneLaunchPerScheduleEntry) {
   EXPECT_GT(res.total_cycles, 0);
   EXPECT_GT(res.l1_hit_rate(), 0.0);
   EXPECT_EQ(res.policy, "baseline");
+}
+
+/// Every launch of `w`'s schedule, replayed by hand on one Gpu (the L2
+/// persists across launches, as in Runner): per entry, one KernelStats per
+/// repeat. `kernel_for` picks the kernel each entry runs.
+template <typename KernelFor>
+std::vector<std::vector<sim::KernelStats>> replay_schedule(const Runner& r, const wl::Workload& w,
+                                                           const sim::SimOptions& opts,
+                                                           KernelFor&& kernel_for) {
+  sim::DeviceMemory mem;
+  w.setup(mem);
+  sim::Gpu gpu(r.gpu_arch(), mem);
+  std::vector<std::vector<sim::KernelStats>> out;
+  for (const wl::KernelRun& entry : w.schedule) {
+    const ir::Kernel kernel = kernel_for(entry);
+    out.emplace_back();
+    for (int rep = 0; rep < entry.repeats; ++rep) {
+      out.back().push_back(gpu.run(sim::LaunchSpec{&kernel, entry.launch, entry.params}, opts));
+    }
+  }
+  return out;
+}
+
+TEST(Runner, RepeatedLaunchesAccumulateLaneAndDivergenceCounters) {
+  // km launches each kernel twice: the schedule entry's stats must fold
+  // both launches, not keep the first launch's lane and divergence
+  // counters beside summed cycles.
+  Runner& r = shared_runner();
+  const wl::Workload& w = wl::find_workload("km", 2);
+  const AppResult res = r.run(w, Baseline{});
+  const auto launches = replay_schedule(
+      r, w, {}, [&](const wl::KernelRun& entry) { return w.kernel(entry.kernel).clone(); });
+  ASSERT_EQ(res.launches.size(), launches.size());
+  int repeated = 0;
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    SCOPED_TRACE(w.schedule[i].kernel);
+    std::uint64_t lane_cycles = 0;
+    std::uint64_t lane_mem_insts = 0;
+    sim::simt::DivCounters div;
+    for (const sim::KernelStats& s : launches[i]) {
+      lane_cycles += s.lane_cycles;
+      lane_mem_insts += s.lane_mem_insts;
+      div.merge(s.div);
+    }
+    if (launches[i].size() > 1) ++repeated;
+    EXPECT_EQ(res.launches[i].lane_cycles, lane_cycles);
+    EXPECT_EQ(res.launches[i].lane_mem_insts, lane_mem_insts);
+    EXPECT_EQ(res.launches[i].div, div);
+  }
+  EXPECT_GT(repeated, 0);
+}
+
+TEST(Runner, RepeatedAdaptiveLaunchesKeepEveryDecision) {
+  // cfd's flux kernel runs twice under the adaptive controller: the
+  // entry's decision log is both launches' logs in launch order, vetoes
+  // sum, and the throttle level is the larger of the two.
+  Runner& r = shared_runner();
+  const wl::Workload& w = wl::find_workload("cfd", 2);
+  const Adaptive policy;
+  const AppResult res = r.run(w, policy);
+  sim::SimOptions opts;
+  opts.sched = policy.sched;
+  const auto launches = replay_schedule(r, w, opts, [&](const wl::KernelRun& entry) {
+    const ir::Kernel& k = w.kernel(entry.kernel);
+    const analysis::KernelAnalysis ka =
+        r.plan_service().analysis_for(k, entry.launch, entry.params, policy.opts);
+    return xform::apply_plan(r.gpu_arch(), k, entry.launch, ka.plan).kernel;
+  });
+  ASSERT_EQ(res.launches.size(), launches.size());
+  std::size_t repeated_decisions = 0;
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    SCOPED_TRACE(w.schedule[i].kernel);
+    std::vector<std::int64_t> cycles;
+    std::uint64_t vetoes = 0;
+    int level = 0;
+    for (const sim::KernelStats& s : launches[i]) {
+      for (const auto& d : s.sched_decisions) cycles.push_back(d.cycle);
+      vetoes += s.sched_vetoes;
+      level = std::max(level, s.sched_throttle_level);
+    }
+    if (launches[i].size() > 1) repeated_decisions += launches[i].back().sched_decisions.size();
+    std::vector<std::int64_t> got;
+    for (const auto& d : res.launches[i].sched_decisions) got.push_back(d.cycle);
+    EXPECT_EQ(got, cycles);
+    EXPECT_EQ(res.launches[i].sched_vetoes, vetoes);
+    EXPECT_EQ(res.launches[i].sched_throttle_level, level);
+  }
+  // The repeat itself decides something, or the test would pin nothing.
+  EXPECT_GT(repeated_decisions, 0u);
 }
 
 TEST(Runner, CattSpeedsUpAtax) {
@@ -511,6 +601,9 @@ TEST(Runner, FreshRunnerOverWarmDiskCacheIsByteIdentical) {
   EXPECT_EQ(r.cache().misses(), 0u);
   EXPECT_GT(r.cache().hits(), 0u);
   EXPECT_EQ(disk.counters().writes, 0u);
+  // Every read probe is a hit: the warm run publishes nothing, not even a
+  // no-op republish of something it never read.
+  EXPECT_EQ(disk.counters().dup_writes, 0u);
   EXPECT_GT(disk.counters().hits, 0u);
 }
 

@@ -1,7 +1,7 @@
 // Cache-tier tests: the PlanService's no-simulation contract (pinned with
-// the sim.gpu.launches obs counter — the acceptance criterion for the
-// plan/sim API split), and two-tier assembly and publication of launch
-// stats through the SimCache over a DiskCache.
+// the sim.gpu.launches obs counter) and its in-memory memo, and two-tier
+// assembly and publication of launch stats through the SimCache over a
+// DiskCache.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include "exec/disk_cache.hpp"
 #include "exec/plan_service.hpp"
 #include "exec/sim_cache.hpp"
-#include "exec/wire.hpp"
 #include "obs/obs.hpp"
 #include "throttle/runner.hpp"
 #include "workloads/workload.hpp"
@@ -44,6 +43,15 @@ std::string fresh_dir(const std::string& name) {
 // PlanService
 // ---------------------------------------------------------------------------
 
+void expect_plans_equal(const analysis::ThrottlePlan& a, const analysis::ThrottlePlan& b) {
+  EXPECT_EQ(a.tb_limit, b.tb_limit);
+  ASSERT_EQ(a.warp_throttles.size(), b.warp_throttles.size());
+  for (std::size_t i = 0; i < a.warp_throttles.size(); ++i) {
+    EXPECT_EQ(a.warp_throttles[i].loop_id, b.warp_throttles[i].loop_id) << "throttle " << i;
+    EXPECT_EQ(a.warp_throttles[i].n_divisor, b.warp_throttles[i].n_divisor) << "throttle " << i;
+  }
+}
+
 TEST(PlanService, PlanForNeverInvokesTimingEngine) {
   ASSERT_TRUE(g_obs_active);
   const wl::Workload& w = wl::find_workload("atax", 2);
@@ -52,12 +60,10 @@ TEST(PlanService, PlanForNeverInvokesTimingEngine) {
   const std::uint64_t launches_before = global_counter("sim.gpu.launches");
   const std::uint64_t computes_before = global_counter("exec.planservice.computes");
   for (const wl::KernelRun& run : w.schedule) {
-    const analysis::ThrottlePlan p =
-        plans.plan_for(w.kernel(run.kernel), run.launch, run.params);
-    (void)p;
+    (void)plans.analysis_for(w.kernel(run.kernel), run.launch, run.params);
   }
-  // The acceptance pin: answering every plan query in the schedule runs
-  // the static analysis (visible as planservice computes) and *zero*
+  // The acceptance pin: answering every analysis query in the schedule
+  // runs the static analysis (visible as planservice computes) and *zero*
   // timing-engine launches.
   EXPECT_EQ(global_counter("sim.gpu.launches"), launches_before);
   EXPECT_EQ(global_counter("exec.planservice.computes"),
@@ -72,45 +78,32 @@ TEST(PlanService, PlanForNeverInvokesTimingEngine) {
 TEST(PlanService, MemoizesAndMatchesDirectAnalysis) {
   const wl::Workload& w = wl::find_workload("atax", 2);
   const wl::KernelRun& run = w.schedule.front();
+  const ir::Kernel& k = w.kernel(run.kernel);
   PlanService plans(arch::GpuArch::titan_v(2));
 
   const std::uint64_t computes_before = global_counter("exec.planservice.computes");
-  const analysis::ThrottlePlan first =
-      plans.plan_for(w.kernel(run.kernel), run.launch, run.params);
-  const analysis::ThrottlePlan again =
-      plans.plan_for(w.kernel(run.kernel), run.launch, run.params);
+  const std::uint64_t mem_hits_before = global_counter("exec.planservice.mem_hits");
+  const analysis::KernelAnalysis first = plans.analysis_for(k, run.launch, run.params);
+  const analysis::KernelAnalysis again = plans.analysis_for(k, run.launch, run.params);
   EXPECT_EQ(global_counter("exec.planservice.computes"), computes_before + 1);
-  EXPECT_EQ(wire::encode_throttle_plan(first), wire::encode_throttle_plan(again));
+  EXPECT_EQ(global_counter("exec.planservice.mem_hits"), mem_hits_before + 1);
+  expect_plans_equal(first.plan, again.plan);
 
-  const analysis::KernelAnalysis direct = analysis::analyze(
-      arch::GpuArch::titan_v(2), w.kernel(run.kernel), run.launch, run.params);
-  EXPECT_EQ(wire::encode_throttle_plan(first), wire::encode_throttle_plan(direct.plan));
-}
+  const analysis::KernelAnalysis direct =
+      analysis::analyze(arch::GpuArch::titan_v(2), k, run.launch, run.params);
+  expect_plans_equal(first.plan, direct.plan);
+  EXPECT_EQ(first.occ.tbs_per_sm, direct.occ.tbs_per_sm);
+  EXPECT_EQ(first.occ.warps_per_tb, direct.occ.warps_per_tb);
+  EXPECT_EQ(first.loops.size(), direct.loops.size());
 
-TEST(PlanService, DiskTierServesAFreshInstance) {
-  const wl::Workload& w = wl::find_workload("atax", 2);
-  const wl::KernelRun& run = w.schedule.front();
-  DiskCache disk({.dir = fresh_dir("plans")});
-
-  PlanService warm(arch::GpuArch::titan_v(2), &disk);
-  const analysis::ThrottlePlan computed =
-      warm.plan_for(w.kernel(run.kernel), run.launch, run.params);
-
-  // A fresh service over the same disk dir answers from the persisted
-  // plan: no new analysis compute.
-  const std::uint64_t computes_before = global_counter("exec.planservice.computes");
-  PlanService cold(arch::GpuArch::titan_v(2), &disk);
-  const analysis::ThrottlePlan served =
-      cold.plan_for(w.kernel(run.kernel), run.launch, run.params);
-  EXPECT_EQ(global_counter("exec.planservice.computes"), computes_before);
-  EXPECT_EQ(wire::encode_throttle_plan(served), wire::encode_throttle_plan(computed));
-
-  // Analysis options are part of the key: an ablation variant must not be
-  // served the default plan.
+  // Analysis options are part of the key: an ablation variant is its own
+  // compute, never served the default analysis from the memo.
   analysis::AnalysisOptions aggressive;
   aggressive.conservative_irregular = false;
-  EXPECT_NE(cold.plan_key(w.kernel(run.kernel), run.launch, run.params),
-            cold.plan_key(w.kernel(run.kernel), run.launch, run.params, aggressive));
+  EXPECT_NE(plans.plan_key(k, run.launch, run.params),
+            plans.plan_key(k, run.launch, run.params, aggressive));
+  (void)plans.analysis_for(k, run.launch, run.params, aggressive);
+  EXPECT_EQ(global_counter("exec.planservice.computes"), computes_before + 2);
 }
 
 // ---------------------------------------------------------------------------

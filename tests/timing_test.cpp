@@ -142,18 +142,19 @@ __global__ void corr_like(float *data, float *symmat, int M, int N, int K) {
   Gpu gpu(arch::GpuArch::titan_v(2), mem);
 
   auto counter = [&](const char* name) { return registry.scrape().counter_or(name); };
-  // The dedup clocks are nested in the trace-generation clock, which
-  // truncates to whole microseconds once per block (2 per launch).
-  auto expect_dedup_time_within_trace_gen = [&](int launches, const char* at) {
+  // The dedup clocks are nested in the trace-generation clock, and that
+  // clock carries sub-microsecond remainders across blocks, so each
+  // launch's whole-microsecond dedup time cannot exceed its trace time.
+  auto expect_dedup_time_within_trace_gen = [&](const char* at) {
     EXPECT_LE(counter("sim.dedup.symbolize_us") + counter("sim.dedup.render_us"),
-              counter("sim.trace_gen_us") + 2 * static_cast<std::uint64_t>(launches))
+              counter("sim.trace_gen_us"))
         << at;
   };
   expect_stats_equal(gpu.run(spec, o), ref[0], "generating launch");
   const obs::Registry::Snapshot snap = registry.scrape();
   EXPECT_TRUE(std::any_of(snap.counters.begin(), snap.counters.end(),
                           [](const auto& c) { return c.first == "sim.dedup.render_us"; }));
-  expect_dedup_time_within_trace_gen(1, "generating launch");
+  expect_dedup_time_within_trace_gen("generating launch");
   // Warps 2 and 3 of each block bail on the block-dependent `j2 < M`.
   EXPECT_EQ(counter("sim.dedup.bail.block_dependent"), 2u);
   EXPECT_EQ(counter("sim.tracegen.warps_executed"), 4u);
@@ -170,13 +171,13 @@ __global__ void corr_like(float *data, float *symmat, int M, int N, int K) {
   EXPECT_EQ(counter("sim.tracegen.warps_executed"), 8u);
   EXPECT_EQ(counter("sim.tracegen.warps_rendered"), 8u);
   EXPECT_EQ(counter("sim.dedup.symbolize_us"), symbolize_us);
-  expect_dedup_time_within_trace_gen(2, "reused dedup entry");
+  expect_dedup_time_within_trace_gen("reused dedup entry");
 
   gpu.release_traces(o.trace_key);
   expect_stats_equal(gpu.run(spec, o), ref[2], "regenerated dedup entry");
   EXPECT_EQ(counter("sim.dedup.bail.block_dependent"), 4u);
   EXPECT_EQ(counter("sim.tracegen.warps_executed"), 12u);
-  expect_dedup_time_within_trace_gen(3, "regenerated dedup entry");
+  expect_dedup_time_within_trace_gen("regenerated dedup entry");
 }
 
 // The scheduler-policy seam's identity pin: an explicit `--sched=none`
