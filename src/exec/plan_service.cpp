@@ -24,10 +24,10 @@ std::uint64_t PlanService::plan_key(const ir::Kernel& kernel, const arch::Launch
       .value();
 }
 
-analysis::KernelAnalysis PlanService::analysis_for(const ir::Kernel& kernel,
-                                                   const arch::LaunchConfig& launch,
-                                                   const expr::ParamEnv& params,
-                                                   const analysis::AnalysisOptions& opts) {
+const analysis::KernelAnalysis& PlanService::analysis_for(const ir::Kernel& kernel,
+                                                          const arch::LaunchConfig& launch,
+                                                          const expr::ParamEnv& params,
+                                                          const analysis::AnalysisOptions& opts) {
   const std::uint64_t key = plan_key(kernel, launch, params, opts);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = memo_.find(key);

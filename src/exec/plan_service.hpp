@@ -33,10 +33,12 @@ class PlanService {
 
   /// The full analysis (per-loop decisions, occupancy, footprints, and the
   /// ThrottlePlan a transform applies), memoized. Never runs a simulation.
-  analysis::KernelAnalysis analysis_for(const ir::Kernel& kernel,
-                                        const arch::LaunchConfig& launch,
-                                        const expr::ParamEnv& params,
-                                        const analysis::AnalysisOptions& opts = {});
+  /// The reference stays valid for the service's lifetime: memo entries
+  /// are never erased and unordered_map nodes do not move.
+  const analysis::KernelAnalysis& analysis_for(const ir::Kernel& kernel,
+                                               const arch::LaunchConfig& launch,
+                                               const expr::ParamEnv& params,
+                                               const analysis::AnalysisOptions& opts = {});
 
  private:
   arch::GpuArch arch_;

@@ -1388,18 +1388,64 @@ inline void translate_sectors(const std::uint64_t* addrs, std::size_t n, std::ui
   translate_sectors_base(addrs, n, delta, out);
 }
 
-}  // namespace
-
-WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
-                 const arch::Dim3& block_idx, int line_bytes,
-                 const std::shared_ptr<TxnPool>& pool) {
-  WarpTrace t(pool);
-  t.reserve(pt.events.size());
-  const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
+/// Calls `line(l)` once per 32 B sector event `pe` touches in a block whose
+/// byte delta is `delta`, in sector order (so a line's sectors arrive
+/// consecutively and the caller merges them).
+template <typename LineFn>
+void for_each_sector(const ParamEvent& pe, const AddrStore& addrs, std::uint64_t delta,
+                     std::uint64_t sectors_per_line, LineFn&& line) {
+  if (pe.lanes == 0) return;
+  if (pe.progression) {
+    const std::uint64_t first = pe.addr + delta;
+    if (pe.stride <= 32) {
+      // Consecutive lanes are at most one sector apart, so the warp
+      // touches every sector from the first lane's to the last's.
+      const std::uint64_t s0 = first / 32;
+      const std::uint64_t n = (first + (pe.lanes - 1) * pe.stride) / 32 - s0 + 1;
+      for (std::uint64_t s = 0; s < n; ++s) line((s0 + s) / sectors_per_line);
+    } else {
+      for (std::uint32_t i = 0; i < pe.lanes; ++i) {
+        line((first + i * pe.stride) / 32 / sectors_per_line);
+      }
+    }
+    return;
+  }
   // Per-thread scratch for the translated sectors: sweep jobs render on
   // pool threads concurrently, and steady state allocates nothing.
   thread_local std::vector<std::uint64_t> sectors;
-  for (const ParamEvent& pe : pt.events) {
+  sectors.resize(pe.lanes);
+  translate_sectors(addrs.at(pe.addr), pe.lanes, delta, sectors.data());
+  // The addresses are sorted and the delta is uniform, so the translated
+  // sectors stay sorted; sector dedup and line merge in one pass.
+  std::uint64_t last_sector = ~std::uint64_t{0};
+  for (const std::uint64_t sector : sectors) {
+    if (sector == last_sector) continue;
+    last_sector = sector;
+    line(sector / sectors_per_line);
+  }
+}
+
+/// Byte delta of event `pe` in block `b`, with unsigned wrap.
+std::uint64_t block_delta(const ParamEvent& pe, const arch::Dim3& b) {
+  return static_cast<std::uint64_t>(pe.dx) * b.x + static_cast<std::uint64_t>(pe.dy) * b.y +
+         static_cast<std::uint64_t>(pe.dz) * b.z;
+}
+
+/// Renders block (0,0,0) of `pt` as its template. A memory event whose
+/// byte deltas are whole lines keeps its rows and records the deltas in
+/// lines; any other becomes a patch event, re-rendered per block by
+/// render() (its template rows would never be read, so none are built).
+void build_template(ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
+                    int line_bytes) {
+  const auto pool = std::make_shared<TxnPool>();
+  WarpTrace t(pool);
+  t.make_template();
+  t.reserve(pt.events.size());
+  const auto lb = static_cast<std::int64_t>(line_bytes);
+  const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
+  pt.patch_events.clear();
+  for (std::size_t i = 0; i < pt.events.size(); ++i) {
+    const ParamEvent& pe = pt.events[i];
     switch (pe.kind) {
       case EventKind::kCompute:
         // Symbolic events are already merged; replay them one-for-one so
@@ -1408,36 +1454,14 @@ WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTabl
         break;
       case EventKind::kMem: {
         t.begin_mem(table.id_for(prog, pe.slot), pe.is_store, pe.lanes);
-        const std::uint64_t delta = static_cast<std::uint64_t>(pe.dx) * block_idx.x +
-                                    static_cast<std::uint64_t>(pe.dy) * block_idx.y +
-                                    static_cast<std::uint64_t>(pe.dz) * block_idx.z;
-        if (pe.lanes == 0) break;
-        if (pe.progression) {
-          const std::uint64_t first = pe.addr + delta;
-          if (pe.stride <= 32) {
-            // Consecutive lanes are at most one sector apart, so the warp
-            // touches every sector from the first lane's to the last's.
-            const std::uint64_t s0 = first / 32;
-            const std::uint64_t n = (first + (pe.lanes - 1) * pe.stride) / 32 - s0 + 1;
-            for (std::uint64_t s = 0; s < n; ++s) t.mem_sector((s0 + s) / sectors_per_line);
-          } else {
-            for (std::uint32_t i = 0; i < pe.lanes; ++i) {
-              t.mem_sector((first + i * pe.stride) / 32 / sectors_per_line);
-            }
-          }
+        if (pe.lanes != 0 && (pe.dx % lb != 0 || pe.dy % lb != 0 || pe.dz % lb != 0)) {
+          t.shift_mem({0, 0, 0, static_cast<std::int32_t>(pt.patch_events.size())});
+          pt.patch_events.push_back(static_cast<std::uint32_t>(i));
           break;
         }
-        sectors.resize(pe.lanes);
-        translate_sectors(pt.addrs.at(pe.addr), pe.lanes, delta, sectors.data());
-        // The addresses are sorted and the delta is uniform, so the
-        // translated sectors stay sorted; sector dedup and line merge in
-        // one pass.
-        std::uint64_t last_sector = ~std::uint64_t{0};
-        for (const std::uint64_t sector : sectors) {
-          if (sector == last_sector) continue;
-          last_sector = sector;
-          t.mem_sector(sector / sectors_per_line);
-        }
+        t.shift_mem({pe.dx / lb, pe.dy / lb, pe.dz / lb, -1});
+        for_each_sector(pe, pt.addrs, 0, sectors_per_line,
+                        [&](std::uint64_t line) { t.mem_sector(line); });
         break;
       }
       case EventKind::kBarrier:
@@ -1449,7 +1473,39 @@ WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTabl
         break;
     }
   }
-  return t;
+  pool->shrink_to_fit();
+  pt.templ = std::move(t);
+}
+
+}  // namespace
+
+WarpTrace render(ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
+                 const arch::Dim3& block_idx, int line_bytes,
+                 const std::shared_ptr<TxnPool>& pool) {
+  if (pt.templ.empty()) build_template(pt, prog, table, line_bytes);
+  std::shared_ptr<PatchSpans> patches;
+  if (!pt.patch_events.empty()) {
+    const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
+    patches = std::make_shared<PatchSpans>();
+    patches->pool = pool;
+    patches->begin.reserve(pt.patch_events.size() + 1);
+    TxnPool& p = *pool;
+    for (const std::uint32_t e : pt.patch_events) {
+      const ParamEvent& pe = pt.events[e];
+      const std::size_t begin = p.size();
+      patches->begin.push_back(static_cast<std::uint32_t>(begin));
+      for_each_sector(pe, pt.addrs, block_delta(pe, block_idx), sectors_per_line,
+                      [&](std::uint64_t line) {
+                        if (p.size() > begin && p.back().line == line) {
+                          ++p.back().sectors;
+                        } else {
+                          p.push_back({line, 1});
+                        }
+                      });
+    }
+    patches->begin.push_back(static_cast<std::uint32_t>(p.size()));
+  }
+  return pt.templ.view(block_idx.x, block_idx.y, block_idx.z, std::move(patches));
 }
 
 }  // namespace catt::sim::dedup

@@ -35,6 +35,16 @@
 // - Lane-progression addresses: an access whose sorted addresses are
 //   first + i*stride stores that pair, not the addresses; the render
 //   walks the sector range (stride <= 32 B) or one sector per lane.
+//
+// Render builds no transaction rows per block. A warp's first render
+// builds its template: block (0,0,0) rendered once, with each memory
+// event's byte deltas recorded in lines. Every block then gets a view of
+// that template (WarpTrace::view), and replay adds the block's line
+// offset at issue time. Only patch events, whose byte delta is not a
+// whole number of lines (syr2k's C[i*N+j] moves 64 B per blockIdx.x),
+// are re-rendered per block into the block's TxnPool, through the
+// progression/AddrStore walk above. fig7 at CATT_JOBS=1 (Release, 4-core
+// x86-64 host, median of 3 runs): summed render 7.5 s -> 1.1 s.
 #pragma once
 
 #include <cstdint>
@@ -129,11 +139,20 @@ struct ParamWarpTrace {
   // grid, so the mask history (and thus these counters and every event's
   // lane work) is identical in all rendered blocks.
   simt::DivCounters div;
+  // Block (0,0,0) rendered once, at the warp's first render() (so site ids
+  // are assigned in the concrete first-encounter order, interleaved with
+  // VM-fallback warps); every rendered block is a view of it.
+  WarpTrace templ;
+  // Indices into `events` of the patch events (memory events whose block
+  // delta is not line-aligned), in event order.
+  std::vector<std::uint32_t> patch_events;
 };
 
 /// Cached state for one (kernel, launch, params) fingerprint. The site
 /// table is shared by renders and VM fallbacks so id assignment keeps the
-/// interpreter's first-dynamic-encounter order across launches.
+/// interpreter's first-dynamic-encounter order across launches. The warps'
+/// templates live here too; views share them, so a view still being
+/// replayed keeps its template alive after release().
 struct DedupEntry {
   bool generated = false;
   std::vector<ParamWarpTrace> warps;  // indexed by warp id within a block
@@ -161,11 +180,13 @@ class TraceDedup {
 /// such warps report BailReason::kSharedInvalidated.
 std::vector<ParamWarpTrace> symbolize(const bc::Program& prog, const arch::LaunchConfig& launch);
 
-/// Renders one parametric warp trace for a concrete block. `table`
+/// Renders one parametric warp trace for a concrete block, as a view of
+/// the warp's block-0 template (built on the first call: `table` then
 /// resolves site slots to ids, assigning unseen ones in event order — the
-/// concrete VM's first-encounter order. Transactions land in `pool`
-/// (shared by the block's warps).
-WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
+/// concrete VM's first-encounter order). Only the patch events'
+/// transactions are built per block; they land in `pool` (shared by the
+/// block's warps).
+WarpTrace render(ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
                  const arch::Dim3& block_idx, int line_bytes,
                  const std::shared_ptr<TxnPool>& pool);
 

@@ -206,6 +206,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     // what rendering cost.
     reg.add(reg.counter("sim.dedup.symbolize_us"), interp.symbolize_us());
     reg.add(reg.counter("sim.dedup.render_us"), interp.render_us());
+    reg.add(reg.counter("sim.dedup.patch_events"), interp.patch_events());
     for (int r = 1; r < dedup::kNumBailReasons; ++r) {
       const auto reason = static_cast<dedup::BailReason>(r);
       reg.add(reg.counter(std::string("sim.dedup.bail.") + dedup::bail_reason_name(reason)),
@@ -253,6 +254,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " warps_executed=" + std::to_string(interp.warps_executed()) +
         " symbolize_us=" + std::to_string(interp.symbolize_us()) +
         " render_us=" + std::to_string(interp.render_us()) +
+        " patch_events=" + std::to_string(interp.patch_events()) +
         " sm_steps=" + std::to_string(stats.sm_steps) +
         " warps_scanned=" + std::to_string(stats.warps_scanned) +
         " warps_issued=" + std::to_string(stats.warp_insts) +

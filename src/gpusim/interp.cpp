@@ -137,8 +137,9 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
                         entry_->warps[static_cast<std::size_t>(w)].valid;
     if (affine) {
       const auto t0 = std::chrono::steady_clock::now();
-      out.push_back(dedup::render(entry_->warps[static_cast<std::size_t>(w)], *prog_,
-                                  entry_->table, bid, line_bytes_, pool));
+      dedup::ParamWarpTrace& pt = entry_->warps[static_cast<std::size_t>(w)];
+      out.push_back(dedup::render(pt, *prog_, entry_->table, bid, line_bytes_, pool));
+      patch_events_ += pt.patch_events.size();
       render_ns_ += static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                                t0)

@@ -81,7 +81,9 @@ class KernelInterp {
   /// Time spent rendering this launch's rendered warps. Trace generation
   /// minus symbolize_us() minus render_us() is VM time.
   std::uint64_t render_us() const { return render_ns_ / 1000; }
-
+  /// Memory events re-rendered per block because their block delta is not
+  /// line-aligned (summed over this launch's rendered warps).
+  std::uint64_t patch_events() const { return patch_events_; }
 
  private:
   void ensure_compiled();
@@ -112,6 +114,7 @@ class KernelInterp {
   std::array<std::uint64_t, dedup::kNumBailReasons> bails_{};
   std::uint64_t symbolize_us_ = 0;
   std::uint64_t render_ns_ = 0;  // one clock pair per rendered warp
+  std::uint64_t patch_events_ = 0;
 
   /// Recycles per-block TxnPool allocations.
   TxnArena arena_;

@@ -69,7 +69,10 @@ std::int64_t SmDatapath::mshr_load(std::uint64_t line, std::int64_t t_issue, int
 
 std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64_t now,
                                   int warp) {
-  const std::uint32_t n = t.txn_count(pc);
+  // Explicit rows carry offset 0; a dedup view's rows are its template's
+  // (or its patch rows) and every line is shifted by the span's offset.
+  const TxnSpan span = t.mem_span(pc);
+  const std::uint32_t n = span.count;
   const bool is_store = t.is_store(pc);
   ++stats.mem_insts;
   stats.mem_requests += n;
@@ -82,7 +85,7 @@ std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64
   // workloads. Same LSU/probe/MSHR sequence as the loop below, minus the
   // divergence bookkeeping.
   if (n == 1 && !is_store) {
-    const Txn txn = t.txns(pc)[0];
+    const Txn txn = span[0];
     const std::int64_t t_issue = std::max(now, lsu_next_free_);
     lsu_next_free_ = t_issue + arch_.timing.lsu_issue_interval;
     Cache::SetHint hint;
@@ -95,9 +98,8 @@ std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64
   }
 
   std::int64_t done = now + 1;
-  const Txn* txns = n != 0 ? t.txns(pc) : nullptr;
   for (std::uint32_t i = 0; i < n; ++i) {
-    const Txn& txn = txns[i];
+    const Txn txn = span[i];
     // LSU pipeline: one transaction per issue interval. Divergent
     // instructions (many lines) serialize here.
     const std::int64_t t_issue = std::max(now, lsu_next_free_);

@@ -7,6 +7,15 @@
 // touches kind/payload/txn-span as parallel flat vectors instead of chasing
 // a per-event heap vector, and all coalesced transactions of a thread
 // block live in one shared pool (TxnPool) the block's warps index into.
+//
+// A trace is either explicit (the VM and the reference interpreter write
+// every transaction row) or a view (dedup.hpp): one block-0 template
+// shared by every block, plus the block's coordinates. A view's memory
+// event reads the template's rows and shifts every line by the event's
+// LineShift applied to the block; events whose block delta is not
+// line-aligned ("patch" events) read rows re-rendered for the block
+// instead. mem_span() is the one read path, so no caller can
+// see a template line without its offset.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +49,34 @@ struct Txn {
 /// the last warp of the block releases its trace.
 using TxnPool = std::vector<Txn>;
 
+/// The transactions of one kMem event as replay sees them: `count` rows
+/// at `txns`, each line shifted by `line_offset` (0 for explicit rows).
+/// The offset is added with unsigned wrap, like the byte deltas a dedup
+/// render adds.
+struct TxnSpan {
+  const Txn* txns = nullptr;
+  std::uint32_t count = 0;
+  std::uint64_t line_offset = 0;
+
+  Txn operator[](std::uint32_t k) const { return {txns[k].line + line_offset, txns[k].sectors}; }
+};
+
+/// Per-block line delta of one template memory event: a view of block
+/// (bx,by,bz) shifts the event's lines by dx*bx + dy*by + dz*bz. `patch`
+/// >= 0 marks a patch event (its byte delta is not line-aligned): its rows
+/// are the view's patch span with that ordinal, not the template's.
+struct LineShift {
+  std::int64_t dx = 0, dy = 0, dz = 0;
+  std::int32_t patch = -1;
+};
+
+/// One view's re-rendered patch events: patch k's rows are
+/// pool[begin[k], begin[k+1]).
+struct PatchSpans {
+  std::shared_ptr<TxnPool> pool;
+  std::vector<std::uint32_t> begin;
+};
+
 /// One warp's timed event sequence in structure-of-arrays layout. For kMem
 /// events the txn span holds the distinct cache-line transactions the
 /// coalescer produced for the instruction — the paper's "off-chip memory
@@ -51,9 +88,9 @@ using TxnPool = std::vector<Txn>;
 ///
 /// Storage is a shared handle: the SoA arrays (and the pool reference)
 /// live in one refcounted Data block, so a copy of a finished trace is a
-/// refcount bump, not a deep copy. The replay side only reads; emission
-/// must only ever target a freshly built trace (every construction site
-/// does).
+/// refcount bump, not a deep copy, and a view shares its template's Data.
+/// The replay side only reads; emission must only ever target a freshly
+/// built trace (every construction site does).
 class WarpTrace {
  public:
   WarpTrace() = default;
@@ -68,9 +105,19 @@ class WarpTrace {
   std::uint32_t cycles(std::size_t i) const { return data_->cycles[i]; }
   std::uint16_t site(std::size_t i) const { return data_->site[i]; }
   bool is_store(std::size_t i) const { return data_->store[i] != 0; }
-  std::uint32_t txn_count(std::size_t i) const { return data_->txn_count[i]; }
-  /// First transaction of event `i`'s span (valid only when txn_count > 0).
-  const Txn* txns(std::size_t i) const { return data_->pool->data() + data_->txn_begin[i]; }
+  std::uint32_t txn_count(std::size_t i) const {
+    if (view_ && data_->shift[i].patch >= 0) return patch_span(data_->shift[i].patch).count;
+    return data_->txn_count[i];
+  }
+
+  /// The transactions of kMem event `i`, translated to this trace's block.
+  TxnSpan mem_span(std::size_t i) const {
+    const Data& d = *data_;
+    if (!view_) return {d.pool->data() + d.txn_begin[i], d.txn_count[i], 0};
+    return view_span(i);
+  }
+  /// Transaction `k` of event `i` (k < txn_count(i)), translated.
+  Txn txn(std::size_t i, std::uint32_t k) const { return mem_span(i)[k]; }
 
   /// Per-lane work of event `i`: for kCompute, cycles x active lanes
   /// summed over the merged ops; for kMem, the lane accesses the
@@ -83,7 +130,28 @@ class WarpTrace {
   const simt::DivCounters& div() const { return data_->div; }
   void set_div(const simt::DivCounters& d) { ensure().div = d; }
 
-  std::shared_ptr<TxnPool> pool() const { return data_ ? data_->pool : nullptr; }
+  // ---- views ----
+
+  /// Turns a freshly built, still empty trace into a template: every
+  /// event gets a LineShift (zero until shift_mem() sets it).
+  void make_template() { ensure().templ = true; }
+
+  /// Sets the open kMem event's per-block line delta (templates only).
+  void shift_mem(const LineShift& s) { data_->shift.back() = s; }
+
+  /// A view of this template for block (bx,by,bz); `patches` holds the
+  /// block's re-rendered patch events (null when the template has none).
+  WarpTrace view(std::uint32_t bx, std::uint32_t by, std::uint32_t bz,
+                 std::shared_ptr<const PatchSpans> patches) const {
+    WarpTrace v;
+    v.data_ = data_;
+    v.patches_ = std::move(patches);
+    v.block_[0] = bx;
+    v.block_[1] = by;
+    v.block_[2] = bz;
+    v.view_ = true;
+    return v;
+  }
 
   // ---- emission ----
 
@@ -136,7 +204,10 @@ class WarpTrace {
 
   /// Drops this handle's reference (finished warps are never replayed).
   /// Shared storage — and the block's pool — dies with the last holder.
-  void release() { data_.reset(); }
+  void release() {
+    data_.reset();
+    patches_.reset();
+  }
 
   void reserve(std::size_t events) {
     Data& d = ensure();
@@ -147,6 +218,7 @@ class WarpTrace {
     d.txn_begin.reserve(events);
     d.txn_count.reserve(events);
     d.lanes.reserve(events);
+    if (d.templ) d.shift.reserve(events);
   }
 
  private:
@@ -158,6 +230,8 @@ class WarpTrace {
     std::vector<std::uint32_t> txn_begin;
     std::vector<std::uint32_t> txn_count;
     std::vector<std::uint32_t> lanes;
+    std::vector<LineShift> shift;  // templates only: one per event
+    bool templ = false;
     simt::DivCounters div;
     std::shared_ptr<TxnPool> pool;
   };
@@ -177,9 +251,29 @@ class WarpTrace {
     d.txn_begin.push_back(d.pool ? static_cast<std::uint32_t>(d.pool->size()) : 0);
     d.txn_count.push_back(0);
     d.lanes.push_back(lanes);
+    if (d.templ) d.shift.emplace_back();
+  }
+
+  TxnSpan patch_span(std::int32_t k) const {
+    const std::uint32_t b = patches_->begin[static_cast<std::size_t>(k)];
+    return {patches_->pool->data() + b, patches_->begin[static_cast<std::size_t>(k) + 1] - b, 0};
+  }
+
+  TxnSpan view_span(std::size_t i) const {
+    const Data& d = *data_;
+    const LineShift& s = d.shift[i];
+    if (s.patch >= 0) return patch_span(s.patch);
+    return {d.pool->data() + d.txn_begin[i], d.txn_count[i],
+            static_cast<std::uint64_t>(s.dx) * block_[0] +
+                static_cast<std::uint64_t>(s.dy) * block_[1] +
+                static_cast<std::uint64_t>(s.dz) * block_[2]};
   }
 
   std::shared_ptr<Data> data_;
+  // View state (view_ false: explicit rows, the fields below unused).
+  std::shared_ptr<const PatchSpans> patches_;
+  std::uint64_t block_[3] = {0, 0, 0};
+  bool view_ = false;
 };
 
 /// Recycles TxnPool allocations across thread blocks. Trace generation

@@ -250,22 +250,30 @@ RunPlan make_baseline_plan(const arch::GpuArch& arch, const sim::SimOptions& sim
                    });
 }
 
+/// CATT's per-loop TLP for one analysed kernel: every top-level loop runs
+/// warps_per_tb / n_divisor warps under the plan's TB limit (the baseline
+/// TB count when the plan sets none, or when the loop is unresolvable).
+std::vector<LoopTlp> catt_loop_tlp(const analysis::KernelAnalysis& ka) {
+  const int tbs = ka.plan.tb_limit > 0 ? ka.plan.tb_limit : ka.occ.tbs_per_sm;
+  std::vector<LoopTlp> out;
+  for (const auto& loop : ka.loops) {
+    if (!loop.top_level) continue;
+    out.push_back({loop.loop_id, ka.occ.warps_per_tb / loop.decision.n_divisor,
+                   loop.decision.unresolvable ? ka.occ.tbs_per_sm : tbs,
+                   loop.decision.unresolvable});
+  }
+  return out;
+}
+
 RunPlan make_catt_plan(const arch::GpuArch& arch, const sim::SimOptions& sim_options,
                        exec::PlanService& plans, const wl::Workload& w,
                        const analysis::AnalysisOptions& opts) {
   return make_plan(
       arch, sim_options, w,
       [&](const ir::Kernel& k, const wl::KernelRun& entry, KernelChoice& choice) {
-        const analysis::KernelAnalysis ka =
+        const analysis::KernelAnalysis& ka =
             plans.analysis_for(k, entry.launch, entry.params, opts);
-        const int tbs = ka.plan.tb_limit > 0 ? ka.plan.tb_limit : ka.occ.tbs_per_sm;
-        for (const auto& loop : ka.loops) {
-          if (!loop.top_level) continue;
-          choice.loops.push_back({loop.loop_id,
-                                  ka.occ.warps_per_tb / loop.decision.n_divisor,
-                                  loop.decision.unresolvable ? ka.occ.tbs_per_sm : tbs,
-                                  loop.decision.unresolvable});
-        }
+        choice.loops = catt_loop_tlp(ka);
         xform::TransformResult tr = xform::apply_plan(arch, k, entry.launch, ka.plan);
         return std::move(tr.kernel);
       });
@@ -285,7 +293,7 @@ RunPlan make_fixed_plan(const arch::GpuArch& arch, const sim::SimOptions& sim_op
           std::vector<int> ids;
           {
             analysis::AnalysisOptions aopts;
-            const analysis::KernelAnalysis ka =
+            const analysis::KernelAnalysis& ka =
                 plans.analysis_for(k, entry.launch, entry.params, aopts);
             const auto loops = ir::collect_loops(k);
             for (const auto& loop : ka.loops) {
@@ -319,18 +327,11 @@ std::vector<KernelChoice> Runner::catt_choices(const wl::Workload& w,
   std::vector<KernelChoice> out;
   for (const auto& entry : w.schedule) {
     const ir::Kernel& k = w.kernel(entry.kernel);
-    const analysis::KernelAnalysis ka = plans_.analysis_for(k, entry.launch, entry.params, opts);
+    const analysis::KernelAnalysis& ka = plans_.analysis_for(k, entry.launch, entry.params, opts);
     KernelChoice choice;
     choice.kernel = entry.kernel;
     choice.baseline_occ = ka.occ;
-    const int tbs = ka.plan.tb_limit > 0 ? ka.plan.tb_limit : ka.occ.tbs_per_sm;
-    for (const auto& loop : ka.loops) {
-      if (!loop.top_level) continue;
-      choice.loops.push_back({loop.loop_id,
-                              ka.occ.warps_per_tb / loop.decision.n_divisor,
-                              loop.decision.unresolvable ? ka.occ.tbs_per_sm : tbs,
-                              loop.decision.unresolvable});
-    }
+    choice.loops = catt_loop_tlp(ka);
     out.push_back(std::move(choice));
   }
   return out;

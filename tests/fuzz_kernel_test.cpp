@@ -295,8 +295,8 @@ void expect_traces_equal(const std::vector<WarpTrace>& ref, const std::vector<Wa
       ASSERT_EQ(re.lane_work(i), ge.lane_work(i)) << at;
       ASSERT_EQ(re.txn_count(i), ge.txn_count(i)) << at;
       for (std::uint32_t t = 0; t < re.txn_count(i); ++t) {
-        ASSERT_EQ(re.txns(i)[t].line, ge.txns(i)[t].line) << at << " txn " << t;
-        ASSERT_EQ(re.txns(i)[t].sectors, ge.txns(i)[t].sectors) << at << " txn " << t;
+        ASSERT_EQ(re.txn(i, t).line, ge.txn(i, t).line) << at << " txn " << t;
+        ASSERT_EQ(re.txn(i, t).sectors, ge.txn(i, t).sectors) << at << " txn " << t;
       }
     }
     ASSERT_TRUE(re.div() == ge.div()) << label << " warp " << w << " divergence counters";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 
 #include "gpusim/sm.hpp"
 
@@ -166,6 +167,85 @@ TEST(SmDatapath, MshrInFlightMatchesDirectCompletionCount) {
   EXPECT_EQ(dp.mshr_in_flight(409), 8u);
   EXPECT_EQ(dp.mshr_in_flight(410), 7u);   // oldest fill retires at 410
   EXPECT_EQ(dp.mshr_in_flight(431), 0u);
+}
+
+// A dedup view (block-0 template rows plus a per-block line offset, and
+// re-rendered rows for patch events) must replay exactly like the same
+// trace with every row written out. Block (3,4,2) shifts the multi-line
+// load by 5*3 - 2*4 = 7 lines (a negative y delta, added with unsigned
+// wrap), the single-transaction load (fast path) by 4 and the store by
+// 7*3 + 3*2 = 27. The patch event reads lines the shifted loads filled,
+// so it hits in L1 only if those were translated.
+TEST(SmDatapath, ViewReplaysLikeMaterializedTrace) {
+  const arch::GpuArch a = test_arch();
+  WarpTrace templ(std::make_shared<TxnPool>());
+  templ.make_template();
+  templ.begin_mem(0, false, 32);
+  templ.shift_mem({5, -2, 0, -1});
+  for (const std::uint64_t line : {100, 100, 101, 102}) templ.mem_sector(line);
+  templ.push_compute_raw(4, 128);
+  templ.begin_mem(1, false, 32);
+  templ.shift_mem({0, 1, 0, -1});
+  templ.mem_sector(300);
+  templ.begin_mem(2, true, 32);
+  templ.shift_mem({7, 0, 3, -1});
+  templ.mem_sector(500);
+  templ.mem_sector(501);
+  templ.begin_mem(3, false, 32);
+  templ.shift_mem({0, 0, 0, /*patch=*/0});
+  templ.push_end();
+  auto patches = std::make_shared<PatchSpans>();
+  patches->pool = std::make_shared<TxnPool>(TxnPool{{107, 1}, {304, 2}});
+  patches->begin = {0, 2};
+  const WarpTrace view = templ.view(3, 4, 2, patches);
+
+  WarpTrace flat;
+  flat.begin_mem(0, false, 32);
+  for (const std::uint64_t line : {107, 107, 108, 109}) flat.mem_sector(line);
+  flat.push_compute_raw(4, 128);
+  flat.begin_mem(1, false, 32);
+  flat.mem_sector(304);
+  flat.begin_mem(2, true, 32);
+  flat.mem_sector(527);
+  flat.mem_sector(528);
+  flat.begin_mem(3, false, 32);
+  flat.mem_sector(107);
+  flat.mem_sector(304);
+  flat.mem_sector(304);
+  flat.push_end();
+
+  ASSERT_EQ(view.size(), flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    ASSERT_EQ(view.txn_count(i), flat.txn_count(i)) << "event " << i;
+    for (std::uint32_t k = 0; k < flat.txn_count(i); ++k) {
+      EXPECT_EQ(view.txn(i, k).line, flat.txn(i, k).line) << "event " << i << " txn " << k;
+      EXPECT_EQ(view.txn(i, k).sectors, flat.txn(i, k).sectors) << "event " << i << " txn " << k;
+    }
+  }
+
+  MemorySystem ms_view(a);
+  MemorySystem ms_flat(a);
+  SmDatapath dp_view(a, ms_view, 4096, nullptr);
+  SmDatapath dp_flat(a, ms_flat, 4096, nullptr);
+  std::int64_t now_view = 0;
+  std::int64_t now_flat = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t pc : {0, 2, 3, 4}) {
+      now_view = dp_view.exec_mem(view, pc, now_view);
+      now_flat = dp_flat.exec_mem(flat, pc, now_flat);
+      ASSERT_EQ(now_view, now_flat) << "pass " << pass << " event " << pc;
+    }
+  }
+  EXPECT_EQ(dp_view.l1_stats().accesses, dp_flat.l1_stats().accesses);
+  EXPECT_EQ(dp_view.l1_stats().hits, dp_flat.l1_stats().hits);
+  EXPECT_EQ(dp_view.l1_stats().misses, dp_flat.l1_stats().misses);
+  EXPECT_EQ(dp_view.l1_stats().store_accesses, dp_flat.l1_stats().store_accesses);
+  EXPECT_EQ(dp_view.stats.mem_requests, dp_flat.stats.mem_requests);
+  EXPECT_EQ(ms_view.dram_lines(), ms_flat.dram_lines());
+  EXPECT_EQ(ms_view.l2_stats().accesses, ms_flat.l2_stats().accesses);
+  // First pass: the patch event's two lines hit (filled by events 0 and
+  // 2); the second pass hits on every load line.
+  EXPECT_EQ(dp_flat.l1_stats().hits, 2u + 6u);
 }
 
 }  // namespace

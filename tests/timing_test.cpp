@@ -180,6 +180,48 @@ __global__ void corr_like(float *data, float *symmat, int M, int N, int K) {
   expect_dedup_time_within_trace_gen("regenerated dedup entry");
 }
 
+// sim.dedup.patch_events counts memory events re-rendered per block
+// because their block delta is not line-aligned. atax's sites all move by
+// whole lines per block, so it has none; syr2k's C load and store move
+// 64 B per blockIdx.x, so every rendered syr2k warp carries two. Either
+// way the launches match the same schedule with dedup off.
+TEST(TimingEngine, DedupPatchEventsCountUnalignedSites) {
+  for (const char* name : {"atax", "syr2k"}) {
+    const wl::Workload& w = wl::find_workload(name, 2);
+    obs::Registry registry;
+    obs::SimObs so;
+    so.metrics_interval = 1 << 30;  // activates obs, no samples
+    so.registry = &registry;
+    DeviceMemory mem;
+    DeviceMemory ref_mem;
+    w.setup(mem);
+    w.setup(ref_mem);
+    Gpu gpu(arch::GpuArch::titan_v(2), mem);
+    Gpu ref_gpu(arch::GpuArch::titan_v(2), ref_mem);
+    for (std::size_t e = 0; e < w.schedule.size(); ++e) {
+      const wl::KernelRun& run = w.schedule[e];
+      const LaunchSpec spec{&w.kernel(run.kernel), run.launch, run.params};
+      SimOptions o;
+      o.skip_functional = true;
+      o.trace_key = e + 1;
+      o.obs = &so;
+      SimOptions plain;
+      plain.skip_functional = true;
+      expect_stats_equal(gpu.run(spec, o), ref_gpu.run(spec, plain),
+                         w.name + "#" + std::to_string(e));
+    }
+    const obs::Registry::Snapshot snap = registry.scrape();
+    const std::uint64_t rendered = snap.counter_or("sim.tracegen.warps_rendered");
+    const std::uint64_t patches = snap.counter_or("sim.dedup.patch_events");
+    EXPECT_GT(rendered, 0u) << name;
+    if (std::string(name) == "atax") {
+      EXPECT_EQ(patches, 0u);
+    } else {
+      EXPECT_EQ(patches, 2 * rendered);
+    }
+  }
+}
+
 // The scheduler-policy seam's identity pin: an explicit `--sched=none`
 // spec must be indistinguishable from a default-constructed SimOptions —
 // same memoization fingerprint and bit-identical per-launch stats — and

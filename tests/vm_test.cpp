@@ -15,6 +15,7 @@
 #include "frontend/parser.hpp"
 #include "gpusim/bytecode.hpp"
 #include "gpusim/dedup.hpp"
+#include "gpusim/gpu.hpp"
 #include "gpusim/interp.hpp"
 #include "gpusim/ref_interp.hpp"
 #include "workloads/workload.hpp"
@@ -40,8 +41,8 @@ void expect_traces_equal(const std::vector<WarpTrace>& ref, const std::vector<Wa
       ASSERT_EQ(re.is_store(i), ge.is_store(i)) << at;
       ASSERT_EQ(re.txn_count(i), ge.txn_count(i)) << at;
       for (std::uint32_t t = 0; t < re.txn_count(i); ++t) {
-        ASSERT_EQ(re.txns(i)[t].line, ge.txns(i)[t].line) << at << " txn " << t;
-        ASSERT_EQ(re.txns(i)[t].sectors, ge.txns(i)[t].sectors) << at << " txn " << t;
+        ASSERT_EQ(re.txn(i, t).line, ge.txn(i, t).line) << at << " txn " << t;
+        ASSERT_EQ(re.txn(i, t).sectors, ge.txn(i, t).sectors) << at << " txn " << t;
       }
     }
   }
@@ -382,6 +383,145 @@ TEST(VmDedup, RenderEncodingsMatchReference) {
     ASSERT_NE(first_mem, pt.events.end()) << c.name;
     EXPECT_EQ(first_mem->progression ? first_mem->stride : kAddrStore, c.stride) << c.name;
   }
+}
+
+/// What one dedup-on interpreter did over a sampled set of blocks.
+struct ViewCounts {
+  std::uint64_t rendered = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t patch_events = 0;
+  std::uint64_t mem_events = 0;  // in the rendered warps' traces
+};
+
+/// Renders kernel `src` (float arrays `arrays`, each `floats` long) as
+/// dedup views and checks them two ways: traces and site table against
+/// RefKernelInterp over sampled blocks, and a whole-launch KernelStats on a
+/// 2-SM Titan V against the same launch with dedup off.
+ViewCounts check_views(const char* src, const arch::LaunchConfig& launch,
+                       const expr::ParamEnv& params, const std::vector<const char*>& arrays,
+                       std::size_t floats) {
+  const std::vector<ir::Kernel> kernels = frontend::parse_program(src);
+  const ir::Kernel& k = kernels.front();
+  EXPECT_TRUE(bc::trace_data_independent(k));
+  auto setup = [&](DeviceMemory& mem) {
+    for (const char* name : arrays) mem.alloc_f32(name, floats, 1.0f);
+  };
+  DeviceMemory mem_ref;
+  DeviceMemory mem_vm;
+  setup(mem_ref);
+  setup(mem_vm);
+  dedup::TraceDedup cache;
+  RefKernelInterp ref(k, launch, params, mem_ref, kLineBytes);
+  KernelInterp vm(k, launch, params, mem_vm, kLineBytes);
+  vm.set_functional(false);
+  vm.enable_dedup(cache, 1);
+  ViewCounts out;
+  for (std::uint64_t b : sample_blocks(launch.num_blocks())) {
+    const std::vector<WarpTrace> got = vm.run_block(b);
+    expect_traces_equal(ref.run_block(b), got, k.name + " block " + std::to_string(b));
+    for (const WarpTrace& t : got) {
+      for (std::size_t i = 0; i < t.size(); ++i) out.mem_events += t.kind(i) == EventKind::kMem;
+    }
+  }
+  expect_sites_equal(ref.sites(), vm.sites(), k.name);
+  out.rendered = vm.warps_rendered();
+  out.executed = vm.warps_executed();
+  out.patch_events = vm.patch_events();
+
+  const LaunchSpec spec{&k, launch, params};
+  SimOptions on;
+  on.skip_functional = true;
+  on.trace_key = 1;
+  on.collect_request_trace = true;
+  SimOptions off;
+  off.collect_request_trace = true;
+  DeviceMemory mem_on;
+  DeviceMemory mem_off;
+  setup(mem_on);
+  setup(mem_off);
+  Gpu gpu_on(arch::GpuArch::titan_v(2), mem_on);
+  Gpu gpu_off(arch::GpuArch::titan_v(2), mem_off);
+  const KernelStats a = gpu_on.run(spec, on);
+  const KernelStats b = gpu_off.run(spec, off);
+  EXPECT_EQ(a.cycles, b.cycles) << k.name;
+  EXPECT_EQ(a.l1.accesses, b.l1.accesses) << k.name;
+  EXPECT_EQ(a.l1.hits, b.l1.hits) << k.name;
+  EXPECT_EQ(a.l1.store_accesses, b.l1.store_accesses) << k.name;
+  EXPECT_EQ(a.l2.accesses, b.l2.accesses) << k.name;
+  EXPECT_EQ(a.l2.hits, b.l2.hits) << k.name;
+  EXPECT_EQ(a.dram_lines, b.dram_lines) << k.name;
+  EXPECT_EQ(a.warp_insts, b.warp_insts) << k.name;
+  EXPECT_EQ(a.mem_requests, b.mem_requests) << k.name;
+  EXPECT_EQ(a.lane_mem_insts, b.lane_mem_insts) << k.name;
+  EXPECT_EQ(a.request_trace.size(), b.request_trace.size()) << k.name;
+  for (std::size_t i = 0; i < std::min(a.request_trace.size(), b.request_trace.size()); ++i) {
+    EXPECT_EQ(a.request_trace[i].mean, b.request_trace[i].mean) << k.name << " point " << i;
+  }
+  return out;
+}
+
+// A 64 B shift per block is half a line: every memory event is a patch
+// event, re-rendered per block, and none reads template rows.
+TEST(VmDedup, HalfLineBlockShiftRendersEveryEventAsPatch) {
+  const ViewCounts c = check_views(R"(
+__global__ void half_line(float *a, float *b) {
+    b[blockIdx.x * 16 + threadIdx.x] = a[blockIdx.x * 16 + threadIdx.x] * 2.0f;
+})",
+                                   {arch::Dim3{8}, arch::Dim3{64}}, {}, {"a", "b"}, 1024);
+  EXPECT_EQ(c.executed, 0u);
+  EXPECT_GT(c.rendered, 0u);
+  EXPECT_EQ(c.patch_events, c.mem_events);
+  EXPECT_EQ(c.patch_events, 2 * c.rendered);
+}
+
+// syr2k's shape: 16x16 blocks, A and B rows shift by whole lines per
+// block, while C moves 64 B per blockIdx.x. Each warp mixes template
+// events (the k loop) with two patch events (the C load and store).
+TEST(VmDedup, Syr2kShapedWarpMixesTemplateAndPatchEvents) {
+  const ViewCounts c = check_views(R"(
+__global__ void syr2k_like(float *A, float *B, float *C, int N, int M) {
+    int j = blockIdx.x * 16 + threadIdx.x;
+    int i = blockIdx.y * 16 + threadIdx.y;
+    float acc = C[i * N + j];
+    for (int k = 0; k < M; k++) {
+        acc += A[i * M + k] * B[j * M + k] + B[i * M + k] * A[j * M + k];
+    }
+    C[i * N + j] = acc;
+})",
+                                   {arch::Dim3{4, 4}, arch::Dim3{16, 16}},
+                                   {{"N", 64}, {"M", 8}}, {"A", "B", "C"}, 64 * 64);
+  EXPECT_EQ(c.executed, 0u);
+  EXPECT_EQ(c.patch_events, 2 * c.rendered);
+  EXPECT_GT(c.mem_events, c.patch_events);
+}
+
+// Blocks walk the arrays backwards: `a` moves -128 B per block (a negative
+// whole-line delta, added with unsigned wrap), `b` -64 B (a negative patch).
+TEST(VmDedup, NegativeBlockDeltaRendersBackwards) {
+  const ViewCounts c = check_views(R"(
+__global__ void reversed(float *a, float *b) {
+    int r = gridDim.x - 1 - blockIdx.x;
+    b[r * 16 + threadIdx.x] = a[r * 32 + threadIdx.x];
+})",
+                                   {arch::Dim3{6}, arch::Dim3{32}}, {}, {"a", "b"}, 1024);
+  EXPECT_EQ(c.executed, 0u);
+  EXPECT_EQ(c.patch_events, c.rendered);
+  EXPECT_GT(c.mem_events, c.patch_events);
+}
+
+// A 3-D grid: `a` shifts by whole lines along x, y and z; `b` by a
+// non-line multiple along z only, so it is a patch event.
+TEST(VmDedup, ThreeDimensionalGridShiftsAlongZ) {
+  const ViewCounts c = check_views(R"(
+__global__ void grid3d(float *a, float *b) {
+    int x = blockIdx.x * 32 + threadIdx.x;
+    b[blockIdx.z * 48 + blockIdx.y * 64 + x] =
+        a[blockIdx.z * 512 + blockIdx.y * 128 + x];
+})",
+                                   {arch::Dim3{2, 2, 3}, arch::Dim3{32}}, {}, {"a", "b"}, 2048);
+  EXPECT_EQ(c.executed, 0u);
+  EXPECT_EQ(c.patch_events, c.rendered);
+  EXPECT_GT(c.mem_events, c.patch_events);
 }
 
 TEST(VmPurity, AtaxIsTracePureBfsIsNot) {
